@@ -38,7 +38,11 @@ def _parse_t_range(text: str) -> tuple[float, float, float | None]:
     if len(pieces) not in (2, 3):
         raise ValueError(f"t-range must be 'a:b' or 'a:b:step', got {text!r}")
     t0, t1 = float(pieces[0]), float(pieces[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t-range bounds must be finite, got {text!r}")
     step = float(pieces[2]) if len(pieces) == 3 else None
+    if step is not None and not (math.isfinite(step) and step > 0):
+        raise ValueError(f"t-range step must be finite and positive, got {text!r}")
     return t0, t1, step
 
 

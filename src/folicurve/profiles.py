@@ -223,8 +223,7 @@ def integrate_profile(
     def rhs(y: tuple[float, float]) -> tuple[float, float]:
         return y[1], cmc_rhs(y[0], y[1], K, H, n, sig, sign_branch)
 
-    def rk4(y: tuple[float, float], h: float) -> tuple[float, float]:
-        k1 = rhs(y)
+    def rk4(y: tuple[float, float], h: float, k1: tuple[float, float]) -> tuple[float, float]:
         k2 = rhs((y[0] + 0.5 * h * k1[0], y[1] + 0.5 * h * k1[1]))
         k3 = rhs((y[0] + 0.5 * h * k2[0], y[1] + 0.5 * h * k2[1]))
         k4 = rhs((y[0] + h * k3[0], y[1] + h * k3[1]))
@@ -253,8 +252,11 @@ def integrate_profile(
     for h_mag in steps:
         h = direction * h_mag
         try:
-            full = rk4(y, h)
-            half = rk4(rk4(y, h / 2), h / 2)
+            # the full step and the first half step share their first stage
+            k1 = rhs(y)
+            full = rk4(y, h, k1)
+            mid = rk4(y, h / 2, k1)
+            half = rk4(mid, h / 2, rhs(mid))
         except (NonSpacelike, VanishingLeadCoefficient) as stop:
             halted = f"admissibility: {stop}"
             break

@@ -65,7 +65,8 @@ class SymExpr:
     zero is the empty map.
     """
 
-    __slots__ = ("_terms",)
+    # _kernel: the compiled float evaluator, filled by the first eval_numeric.
+    __slots__ = ("_terms", "_kernel")
 
     def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
         pruned = {}
@@ -272,24 +273,66 @@ class SymExpr:
     # -- numeric evaluation --------------------------------------------------
 
     def eval_numeric(self, bindings: Mapping[Indeterminate, float]) -> float:
-        """IEEE-double evaluation; rational coefficients convert at the last step."""
-        used = self.indeterminates()
-        missing = [ind.name for ind in used if ind not in bindings]
-        if missing:
-            raise MissingBinding(f"no value for {', '.join(sorted(missing))}")
-        if Indeterminate.X in used:
-            x = bindings[Indeterminate.X]
-            if any(exps[Indeterminate.X] < 0 for exps in self._terms) and x <= 0:
-                raise ValueError("X binding must be positive for Laurent terms")
-        total = 0.0
+        """IEEE-double evaluation; rational coefficients convert at the last step.
+
+        The first call compiles the polynomial into a straight-line kernel
+        (`_compile_kernel`) that every later call reuses.
+        """
+        try:
+            kernel = self._kernel
+        except AttributeError:
+            kernel = self._kernel = self._compile_kernel()
+        try:
+            return kernel(bindings)
+        except KeyError:
+            missing = [ind.name for ind in self.indeterminates() if ind not in bindings]
+            if missing:
+                raise MissingBinding(f"no value for {', '.join(sorted(missing))}") from None
+            raise
+
+    def _compile_kernel(self):
+        """Generate `kernel(bindings) -> float` from the term map.
+
+        It performs the operations of the plain term loop in the same order,
+        so its result is bit-identical: per term, start from 1.0 and multiply
+        the powers `b ** e` in `indeterminates()` iteration order, scale by
+        float(coeff), and add the terms left to right to 0.0.  Each distinct
+        power is computed once (`b ** 1` is `b`), and so is each `1.0 * power`
+        that starts a product (a no-op for float bindings, a conversion for
+        integer ones).
+        """
+        used = list(self.indeterminates())
+        names = {ind: ind.name.lower() for ind in used}
+        lines = [f"    {names[ind]} = b[{ind.name}]" for ind in used]
+        if any(exps[Indeterminate.X] < 0 for exps in self._terms):
+            lines.append('    if x <= 0: raise ValueError("X binding must be positive for Laurent terms")')
+        hoisted: set[str] = set()
+
+        def local(name: str, expr: str) -> str:
+            if name not in hoisted:
+                hoisted.add(name)
+                lines.append(f"    {name} = {expr}")
+            return name
+
+        summands = ["0.0"]
         for exps, coeff in self._terms.items():
-            value = 1.0
+            factors = []
             for ind in used:
                 e = exps[ind]
-                if e:
-                    value *= bindings[ind] ** e
-            total += float(coeff) * value
-        return total
+                if e == 1:
+                    factors.append(names[ind])
+                elif e:
+                    suffix = f"m{-e}" if e < 0 else str(e)
+                    factors.append(local(f"{names[ind]}_{suffix}", f"{names[ind]} ** {e}"))
+            if factors:
+                factors[0] = local(f"f_{factors[0]}", f"1.0 * {factors[0]}")
+                summands.append(f"{float(coeff)!r} * ({' * '.join(factors)})")
+            else:
+                summands.append(repr(float(coeff)))
+        source = "def kernel(b):\n" + "\n".join(lines + ["    return " + " + ".join(summands)])
+        namespace = {ind.name: ind for ind in Indeterminate}
+        exec(source, namespace)
+        return namespace["kernel"]
 
     # -- text form -----------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
 
@@ -94,6 +95,29 @@ class TestScan:
         )
         assert code == 0
         assert json.loads(out)["leaves"] == 5
+
+
+class TestTimeRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "3"],
+         ["generate", "--K", "1", "--n", "3"]],
+        ids=["scan", "generate"],
+    )
+    @pytest.mark.parametrize("t_range", ["0:1:-0.1", "0:1:nan", "0:1:0", "0:1:inf", "0:inf", "nan:1"])
+    def test_bad_t_range_exit_two(self, argv, t_range, capsys):
+        code, out, err = run(argv + ["--t", t_range], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "t-range" in err
+
+    def test_degenerate_range_without_step(self, capsys):
+        code, out, _ = run(
+            ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "2", "--t", "0:0", "--samples", "1"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["leaves"] == 1
 
 
 class TestGenerate:
@@ -237,10 +261,14 @@ class TestDeterminism:
 
 class TestModuleEntry:
     def test_python_dash_m(self):
+        # the child finds the package where this process imported it from
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "folicurve", "convert", "--k", "5", "--r", "3"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["K"] == pytest.approx(4.0)

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from folicurve import profiles
 from folicurve.geometry import constancy_scan
 from folicurve.identity import LORENTZIAN, RIEMANNIAN, bracket_cubic
 from folicurve.profiles import (
@@ -152,6 +153,22 @@ class TestIntegration:
     def test_step_monitor_trips_near_blowup(self):
         with pytest.raises(StepUnstable):
             integrate_profile(1.0, 0.0, (0.0, 0.45), 1e-3, 1.0, 0.75, 2, RIEMANNIAN)
+
+    def test_rhs_calls_per_step(self, monkeypatch):
+        # 4 stages for the full step, 2 x 4 for the two half steps, less the
+        # first stage that the full step and the first half step share
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return cmc_rhs(*args)
+
+        monkeypatch.setattr(profiles, "cmc_rhs", counting)
+        profile = catenoid(t_end=0.025)
+        steps = len(profile.rows) - 1
+        assert profile.halted is None and steps == 25
+        assert calls == 11 * steps
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

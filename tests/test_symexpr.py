@@ -1,9 +1,14 @@
 """Exact-arithmetic kernel: ring axioms, calculus rules, level-set reduction."""
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from folicurve.identity import LORENTZIAN, RIEMANNIAN, neg_nH_S3, s_squared_reduced
+from folicurve.profiles import _ode_form
 from folicurve.symexpr import (
     KAP,
     KAP1,
@@ -223,6 +228,108 @@ class TestNumericEvaluation:
         lhs = (a + b).eval_numeric(bindings)
         rhs = a.eval_numeric(bindings) + b.eval_numeric(bindings)
         assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs) + abs(rhs))
+
+
+def term_loop_eval(p: SymExpr, bindings) -> float:
+    """The plain term loop that eval_numeric compiles; the bit-identity reference."""
+    used = p.indeterminates()
+    total = 0.0
+    for exps, coeff in p.terms():
+        value = 1.0
+        for ind in used:
+            e = exps[ind]
+            if e:
+                value *= bindings[ind] ** e
+        total += float(coeff) * value
+    return total
+
+
+def assert_same_double(a: float, b: float) -> None:
+    if math.isnan(a) and math.isnan(b):
+        return
+    assert struct.pack("<d", a) == struct.pack("<d", b)
+
+
+# 2-jets with either sign of k', r', k'', r'' and every dimension n in 2..6
+jets_st = st.fixed_dictionaries(
+    {
+        Indeterminate.X: st.floats(min_value=1e-3, max_value=10.0),
+        Indeterminate.KAP: st.floats(min_value=1e-3, max_value=10.0),
+        Indeterminate.KAP1: st.floats(min_value=-10.0, max_value=10.0),
+        Indeterminate.KAP2: st.floats(min_value=-10.0, max_value=10.0),
+        Indeterminate.RHO: st.floats(min_value=1e-3, max_value=10.0),
+        Indeterminate.RHO1: st.floats(min_value=-10.0, max_value=10.0),
+        Indeterminate.RHO2: st.floats(min_value=-10.0, max_value=10.0),
+        Indeterminate.NU: st.integers(min_value=2, max_value=6).map(float),
+    }
+)
+
+VERIFIED = {
+    f"{name}-{sig.label}": build(sig)
+    for sig in (RIEMANNIAN, LORENTZIAN)
+    for name, build in [
+        ("neg_nH_S3", neg_nH_S3),
+        ("s_squared_reduced", s_squared_reduced),
+        ("ode_lead", lambda sig: _ode_form(sig)[0]),
+        ("ode_rest", lambda sig: _ode_form(sig)[1]),
+    ]
+}
+
+
+class TestCompiledKernel:
+    @given(sym_exprs(), bindings_st)
+    @settings(max_examples=200)
+    def test_matches_term_loop(self, p, bindings):
+        assert_same_double(p.eval_numeric(bindings), term_loop_eval(p, bindings))
+
+    @given(
+        sym_exprs(),
+        st.fixed_dictionaries(
+            {ind: st.integers(min_value=1, max_value=2 ** 60) for ind in Indeterminate}
+        ),
+    )
+    @settings(max_examples=60)
+    def test_integer_bindings_match_term_loop(self, p, bindings):
+        assert_same_double(p.eval_numeric(bindings), term_loop_eval(p, bindings))
+
+    @pytest.mark.parametrize("name", sorted(VERIFIED))
+    @given(bindings=jets_st)
+    @settings(max_examples=100)
+    def test_verified_polynomials_match_term_loop(self, name, bindings):
+        p = VERIFIED[name]
+        assert_same_double(p.eval_numeric(bindings), term_loop_eval(p, bindings))
+
+    def test_compiled_once(self, monkeypatch):
+        compiled = []
+        original = SymExpr._compile_kernel
+
+        def counting(self):
+            compiled.append(self)
+            return original(self)
+
+        monkeypatch.setattr(SymExpr, "_compile_kernel", counting)
+        p = rational(3) * X * KAP - RHO ** 2
+        bindings = {Indeterminate.X: 1.5, Indeterminate.KAP: 2.0, Indeterminate.RHO: 0.5}
+        assert p.eval_numeric(bindings) == p.eval_numeric(bindings) == 8.75
+        assert compiled == [p]
+
+    def test_value_semantics_ignore_kernel(self):
+        p = X * KAP + ONE
+        q = SymExpr(dict(p.terms()))
+        p.eval_numeric({Indeterminate.X: 1.0, Indeterminate.KAP: 2.0})
+        assert p == q and hash(p) == hash(q)
+
+    def test_missing_binding_message_after_compile(self):
+        p = X * KAP * RHO
+        p.eval_numeric({Indeterminate.X: 1.0, Indeterminate.KAP: 1.0, Indeterminate.RHO: 1.0})
+        with pytest.raises(MissingBinding, match=r"^no value for KAP, RHO$"):
+            p.eval_numeric({Indeterminate.X: 1.0})
+
+    def test_laurent_check_after_compile(self):
+        p = x_pow(-1) + KAP
+        assert p.eval_numeric({Indeterminate.X: 2.0, Indeterminate.KAP: 1.0}) == 1.5
+        with pytest.raises(ValueError, match="X binding must be positive"):
+            p.eval_numeric({Indeterminate.X: -2.0, Indeterminate.KAP: 1.0})
 
 
 class TestTextForm:
