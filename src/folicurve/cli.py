@@ -34,6 +34,8 @@ def _setup_logging() -> None:
 
 def _parse_t_range(text: str) -> tuple[float, float, float | None]:
     """'a:b' or 'a:b:step'."""
+    if not isinstance(text, str):
+        raise ValueError(f"t-range must be a string 'a:b' or 'a:b:step', got {text!r}")
     pieces = text.split(":")
     if len(pieces) not in (2, 3):
         raise ValueError(f"t-range must be 'a:b' or 'a:b:step', got {text!r}")
@@ -44,6 +46,25 @@ def _parse_t_range(text: str) -> tuple[float, float, float | None]:
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ValueError(f"t-range step must be finite and positive, got {text!r}")
     return t0, t1, step
+
+
+def _check_int(args: argparse.Namespace, name: str, minimum: int) -> None:
+    """Reject a given option that is not an integer >= minimum."""
+    value = getattr(args, name)
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < minimum):
+        flag = name.replace("_", "-")
+        raise ValueError(f"--{flag} must be an integer >= {minimum}, got {value!r}")
+
+
+def _check_finite(args: argparse.Namespace, *names: str) -> None:
+    """Reject a given option that is not a finite number."""
+    for name in names:
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            flag = name.replace("_", "-")
+            raise ValueError(f"--{flag} must be a finite number, got {value!r}")
 
 
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
@@ -106,6 +127,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     try:
         t0, t1, step = _parse_t_range(args.t)
+        _check_int(args, "n", 2)
+        _check_int(args, "samples", 1)
+        _check_int(args, "points_per_leaf", 1)
+        _check_finite(args, "cmc_tol")
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return EXIT_INPUT
@@ -114,7 +139,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
         report = geometry.constancy_scan(
             profile, (t0, t1), args.n, sig, samples, points_per_leaf=args.points_per_leaf
         )
-    except (exprlang.DomainError, geometry.InvalidSphere) as err:
+    except (exprlang.DomainError, geometry.InvalidSphere, geometry.NotOnLeaf,
+            ArithmeticError, ValueError) as err:
         print(f"invalid profile on range: {err}", file=sys.stderr)
         return EXIT_INPUT
     if args.out_csv:
@@ -159,6 +185,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
     sig = _signature(args.signature or "riemannian")
     try:
         t0, t1, step = _parse_t_range(args.t)
+        _check_int(args, "n", 2)
+        _check_int(args, "samples", 1)
+        _check_finite(args, "K", "H", "r0", "r1")
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return EXIT_INPUT
@@ -217,6 +246,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
+    try:
+        _check_finite(args, "k", "r", "K", "R")
+    except ValueError as err:
+        print(str(err), file=sys.stderr)
+        return EXIT_INPUT
     euclidean = args.k is not None or args.r is not None
     hyperbolic = args.K is not None or args.R is not None
     if euclidean == hyperbolic:

@@ -11,12 +11,19 @@ Grammar (recursive descent, standard precedence, left associative):
 Exponents are rational literals only, so differentiation stays total.  Bare
 identifiers are the named constants pi and e; function identifiers are
 exp, ln, sin, cos, sinh, cosh, tanh, sqrt.
+
+Float evaluation compiles trees once (`compile_exprs`) into a straight-line
+kernel that performs a recursive walk's operations and domain checks in the
+walk's order, computing each repeated subtree once, so values and the first
+error are those of the walk.  `ProfileFunctions` keeps one kernel for its
+2-jet and one each for k and r.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 
@@ -383,60 +390,113 @@ def differentiate(e: Expr) -> Expr:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-_MATH_FN = {
+_KERNEL_GLOBALS = {
+    "DomainError": DomainError,
     "exp": math.exp,
+    "ln": math.log,
     "sin": math.sin,
     "cos": math.cos,
     "sinh": math.sinh,
     "cosh": math.cosh,
     "tanh": math.tanh,
+    "sqrt": math.sqrt,
 }
 
 
+def compile_exprs(*exprs: Expr):
+    """Generate one straight-line `kernel(t) -> tuple` of float values of `exprs`.
+
+    The kernel does what a recursive walk of the trees in argument order
+    would do, step by step, so values are bit-identical and the first error
+    is the same: one assignment per node in visit order (a `Div` evaluates
+    and checks its denominator before its numerator), the `DomainError`
+    checks of `/`, `^`, `ln` and `sqrt` at the node they guard, `float(t)`
+    for `t`, `** int(q)` for integer and `** float(q)` for fractional
+    exponents.  Constants are float literals computed here, once.  A subtree
+    that repeats, inside one tree or across trees, is computed at its first
+    occurrence only: nodes are numbered by the text of their code (plus an
+    `id()` memo for shared node objects), never by the recursive
+    dataclass hash.
+    """
+    lines = ["def kernel(t):"]
+    namespace = dict(_KERNEL_GLOBALS)
+    numbered: dict[str, str] = {}  # code text -> local holding its value
+    checked: set[str] = set()
+    memo: dict[int, str] = {}  # id(node) -> operand text of its value
+
+    def bind(text: str) -> str:
+        name = numbered.get(text)
+        if name is None:
+            name = numbered[text] = f"v{len(numbered)}"
+            lines.append(f" {name} = {text}")
+        return name
+
+    def check(condition: str, message: str) -> None:
+        line = f" if {condition}: raise DomainError({message})"
+        if line not in checked:  # an earlier identical check already passed
+            checked.add(line)
+            lines.append(line)
+
+    def number(q: Fraction) -> str:
+        try:
+            return f"({float(q)!r})"
+        except OverflowError:  # raise where the walk would convert it
+            name = f"q{len(namespace)}"
+            namespace[name] = q
+            return bind(f"float({name})")
+
+    def visit(e: Expr) -> str:
+        text = memo.get(id(e))
+        if text is None:
+            text = memo[id(e)] = emit(e)
+        return text
+
+    def emit(e: Expr) -> str:
+        if isinstance(e, Num):
+            return number(e.value)
+        if isinstance(e, TVar):
+            return bind("float(t)")
+        if isinstance(e, Const):
+            return f"({CONSTANTS[e.name]!r})"
+        if isinstance(e, Neg):
+            return bind(f"-{visit(e.arg)}")
+        if isinstance(e, (Add, Sub, Mul)):
+            op = "+" if isinstance(e, Add) else "-" if isinstance(e, Sub) else "*"
+            left = visit(e.left)
+            return bind(f"{left} {op} {visit(e.right)}")
+        if isinstance(e, Div):
+            denom = visit(e.right)
+            check(f"{denom} == 0", '"division by zero"')
+            return bind(f"{visit(e.left)} / {denom}")
+        if isinstance(e, Pow):
+            base = visit(e.base)
+            q = e.exponent
+            if q.denominator != 1:
+                check(f"{base} < 0", '"negative base with fractional exponent"')
+            if q < 0:
+                check(f"{base} == 0", '"zero base with negative exponent"')
+            exponent = f"({int(q)})" if q.denominator == 1 else number(q)
+            return bind(f"{base} ** {exponent}")
+        if isinstance(e, Call):
+            if e.fn not in FUNCTIONS:
+                raise ValueError(f"unknown function {e.fn}")
+            x = visit(e.arg)
+            if e.fn == "ln":
+                check(f"{x} <= 0", f'f"ln of nonpositive value {{{x}}}"')
+            elif e.fn == "sqrt":
+                check(f"{x} < 0", f'f"sqrt of negative value {{{x}}}"')
+            return bind(f"{e.fn}({x})")
+        raise TypeError(f"not an Expr: {e!r}")
+
+    roots = [visit(e) for e in exprs]
+    lines.append(f" return ({', '.join(roots)},)")
+    exec("\n".join(lines), namespace)
+    return namespace["kernel"]
+
+
 def evaluate(e: Expr, t: float) -> float:
-    if isinstance(e, Num):
-        return float(e.value)
-    if isinstance(e, TVar):
-        return float(t)
-    if isinstance(e, Const):
-        return CONSTANTS[e.name]
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, t)
-    if isinstance(e, Add):
-        return evaluate(e.left, t) + evaluate(e.right, t)
-    if isinstance(e, Sub):
-        return evaluate(e.left, t) - evaluate(e.right, t)
-    if isinstance(e, Mul):
-        return evaluate(e.left, t) * evaluate(e.right, t)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, t)
-        if denom == 0:
-            raise DomainError("division by zero")
-        return evaluate(e.left, t) / denom
-    if isinstance(e, Pow):
-        base = evaluate(e.base, t)
-        q = e.exponent
-        if q.denominator == 1:
-            if base == 0 and q < 0:
-                raise DomainError("zero base with negative exponent")
-            return base ** int(q)
-        if base < 0:
-            raise DomainError("negative base with fractional exponent")
-        if base == 0 and q < 0:
-            raise DomainError("zero base with negative exponent")
-        return base ** float(q)
-    if isinstance(e, Call):
-        x = evaluate(e.arg, t)
-        if e.fn == "ln":
-            if x <= 0:
-                raise DomainError(f"ln of nonpositive value {x}")
-            return math.log(x)
-        if e.fn == "sqrt":
-            if x < 0:
-                raise DomainError(f"sqrt of negative value {x}")
-            return math.sqrt(x)
-        return _MATH_FN[e.fn](x)
-    raise TypeError(f"not an Expr: {e!r}")
+    """One-off float value of `e` at `t`; keep `compile_exprs(e)` to repeat it."""
+    return compile_exprs(e)(t)[0]
 
 
 # -- printing -------------------------------------------------------------------
@@ -537,18 +597,23 @@ class ProfileFunctions:
     def from_strings(cls, k_text: str, r_text: str) -> "ProfileFunctions":
         return cls.from_exprs(parse(k_text), parse(r_text))
 
+    @cached_property
+    def _jet_kernel(self):
+        return compile_exprs(self.k, self.k1, self.k2, self.r, self.r1, self.r2)
+
+    @cached_property
+    def _k_kernel(self):
+        return compile_exprs(self.k)
+
+    @cached_property
+    def _r_kernel(self):
+        return compile_exprs(self.r)
+
     def k_value(self, t: float) -> float:
-        return evaluate(self.k, t)
+        return self._k_kernel(t)[0]
 
     def r_value(self, t: float) -> float:
-        return evaluate(self.r, t)
+        return self._r_kernel(t)[0]
 
     def jet_values(self, t: float) -> tuple[float, float, float, float, float, float]:
-        return (
-            evaluate(self.k, t),
-            evaluate(self.k1, t),
-            evaluate(self.k2, t),
-            evaluate(self.r, t),
-            evaluate(self.r1, t),
-            evaluate(self.r2, t),
-        )
+        return self._jet_kernel(t)

@@ -120,6 +120,64 @@ class TestTimeRange:
         assert json.loads(out)["leaves"] == 1
 
 
+class TestBadInput:
+    SCAN = ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--t", "0:1"]
+    GENERATE = ["generate", "--K", "1", "--t", "0:0.1"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            SCAN + ["--n", "3", "--samples", "-3"],
+            SCAN + ["--n", "3", "--samples", "0"],
+            SCAN + ["--n", "3", "--points-per-leaf", "0"],
+            SCAN + ["--n", "3", "--points-per-leaf", "-2"],
+            SCAN + ["--n", "0"],
+            SCAN + ["--n", "1"],
+            GENERATE + ["--n", "3", "--samples", "0", "--validate"],
+            GENERATE + ["--n", "3", "--samples", "-1", "--validate"],
+            GENERATE + ["--n", "0"],
+            GENERATE + ["--n", "1"],
+            ["generate", "--K", "nan", "--n", "3", "--t", "0:0.1"],
+            GENERATE + ["--n", "3", "--H", "inf"],
+            ["convert", "--k", "nan", "--r", "1"],
+            ["convert", "--K", "1", "--R", "inf"],
+            ["scan", "--k", "2+exp(1000*t)", "--r", "1", "--n", "3", "--t", "0:1"],
+            ["scan", "--k", "2+exp(1000*t)", "--r", "1", "--n", "3", "--t", "0:1", "--samples", "2"],
+        ],
+        ids=[
+            "scan-samples-negative", "scan-samples-zero", "scan-ppl-zero", "scan-ppl-negative",
+            "scan-n0", "scan-n1", "generate-samples-zero", "generate-samples-negative",
+            "generate-n0", "generate-n1", "generate-K-nan", "generate-H-inf",
+            "convert-k-nan", "convert-R-inf", "scan-large-center", "scan-overflow",
+        ],
+    )
+    def test_exit_two_with_one_line(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    def test_overflow_message(self, capsys):
+        code, _, err = run(
+            ["scan", "--k", "2+exp(1000*t)", "--r", "1", "--n", "3", "--t", "0:1", "--samples", "2"],
+            capsys,
+        )
+        assert code == 2
+        assert err.startswith("invalid profile on range:")
+
+    @pytest.mark.parametrize("t_value", [5, 0.5, ["0:1"], {"a": 1}])
+    def test_non_string_t_in_config(self, t_value, tmp_path, capsys):
+        config = tmp_path / "scan.json"
+        config.write_text(json.dumps({"t": t_value}))
+        code, out, err = run(
+            ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "3", "--config", str(config)],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+
+
 class TestGenerate:
     def test_catenoid_with_validation(self, tmp_path, capsys):
         out_csv = str(tmp_path / "profile.csv")

@@ -1,12 +1,14 @@
 """Profile expression language: parsing, exact derivatives, evaluation."""
 
 import math
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from folicurve import exprlang
 from folicurve.exprlang import (
     Add,
     Call,
@@ -22,6 +24,7 @@ from folicurve.exprlang import (
     ProfileFunctions,
     Sub,
     TVar,
+    compile_exprs,
     differentiate,
     evaluate,
     parse,
@@ -205,3 +208,167 @@ class TestProfileFunctions:
     def test_constant_profile(self):
         prof = ProfileFunctions.from_strings("cosh(1)", "sinh(1)")
         assert prof.jet_values(3.0)[1:3] == (0.0, 0.0)
+
+
+# -- compiled kernels against the recursive walker ------------------------------
+
+_WALK_FN = {
+    "exp": math.exp,
+    "sin": math.sin,
+    "cos": math.cos,
+    "sinh": math.sinh,
+    "cosh": math.cosh,
+    "tanh": math.tanh,
+}
+
+
+def _walk(e, t):
+    """The recursive tree walker the compiled kernels replace (the reference)."""
+    if isinstance(e, Num):
+        return float(e.value)
+    if isinstance(e, TVar):
+        return float(t)
+    if isinstance(e, Const):
+        return {"pi": math.pi, "e": math.e}[e.name]
+    if isinstance(e, Neg):
+        return -_walk(e.arg, t)
+    if isinstance(e, Add):
+        return _walk(e.left, t) + _walk(e.right, t)
+    if isinstance(e, Sub):
+        return _walk(e.left, t) - _walk(e.right, t)
+    if isinstance(e, Mul):
+        return _walk(e.left, t) * _walk(e.right, t)
+    if isinstance(e, Div):
+        denom = _walk(e.right, t)
+        if denom == 0:
+            raise DomainError("division by zero")
+        return _walk(e.left, t) / denom
+    if isinstance(e, Pow):
+        base = _walk(e.base, t)
+        q = e.exponent
+        if q.denominator == 1:
+            if base == 0 and q < 0:
+                raise DomainError("zero base with negative exponent")
+            return base ** int(q)
+        if base < 0:
+            raise DomainError("negative base with fractional exponent")
+        if base == 0 and q < 0:
+            raise DomainError("zero base with negative exponent")
+        return base ** float(q)
+    if isinstance(e, Call):
+        x = _walk(e.arg, t)
+        if e.fn == "ln":
+            if x <= 0:
+                raise DomainError(f"ln of nonpositive value {x}")
+            return math.log(x)
+        if e.fn == "sqrt":
+            if x < 0:
+                raise DomainError(f"sqrt of negative value {x}")
+            return math.sqrt(x)
+        return _WALK_FN[e.fn](x)
+    raise TypeError(f"not an Expr: {e!r}")
+
+
+def _outcome(thunk):
+    """Exact bits of every value (so -0.0 != 0.0), any NaN as 'nan', or the error.
+
+    NaN signs are not compared: CPython itself picks the sign of a NaN
+    product differently once an instruction is specialized.
+    """
+    try:
+        values = thunk()
+    except Exception as err:  # noqa: BLE001 - the exception is the outcome
+        return type(err), str(err)
+    return tuple("nan" if v != v else struct.pack("<d", v) for v in values)
+
+
+signed_numbers = st.fractions(min_value=-4, max_value=4, max_denominator=10).map(Num)
+signed_expressions = st.recursive(st.one_of(leaves, signed_numbers), _extend, max_leaves=8)
+times = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+def _jet(e):
+    d1 = differentiate(e)
+    return (e, d1, differentiate(d1))
+
+
+class TestCompiledExprKernel:
+    @given(signed_expressions, times)
+    @settings(max_examples=300, deadline=None)
+    def test_single_tree_matches_walker(self, e, t):
+        kernel = compile_exprs(e)
+        assert _outcome(lambda: kernel(t)) == _outcome(lambda: (_walk(e, t),))
+        assert _outcome(lambda: (evaluate(e, t),)) == _outcome(lambda: (_walk(e, t),))
+
+    @given(st.lists(signed_expressions, min_size=1, max_size=2), times)
+    @settings(max_examples=200, deadline=None)
+    def test_jet_trees_match_sequential_walk(self, exprs, t):
+        # derivative trees share subtree objects with their source, and the
+        # second expression may repeat subtrees of the first by value
+        trees = [tree for e in exprs for tree in _jet(e)]
+        kernel = compile_exprs(*trees)
+        assert _outcome(lambda: kernel(t)) == _outcome(lambda: [_walk(e, t) for e in trees])
+
+    def test_negative_literal_precedence(self):
+        minus_two = Num(Fraction(-2))
+        kernel = compile_exprs(Pow(minus_two, Fraction(2)), Neg(minus_two), Pow(minus_two, Fraction(-1)))
+        assert kernel(0.0) == (4.0, 2.0, -0.5)
+
+    def test_sign_of_zero(self):
+        kernel = compile_exprs(Neg(Num(Fraction(0))), Mul(TVar(), Num(Fraction(-1))))
+        assert [math.copysign(1.0, v) for v in kernel(0.0)] == [-1.0, -1.0]
+
+    @pytest.mark.parametrize(
+        "texts, t, message",
+        [
+            (("1 + 1/(t + 1)", "ln(t)", "1/(t + 1)"), -1.0, "division by zero"),
+            (("ln(t)", "1 + 1/(t + 1)", "1/(t + 1)"), -1.0, "ln of nonpositive value -1.0"),
+            (("ln(t)/sqrt(t)",), -1.0, "sqrt of negative value -1.0"),
+            (("(t + 1)^(1/2) + t^(-1)",), 0.0, "zero base with negative exponent"),
+            (("t^(-1/2)", "(t - 1)^(1/2)"), -1.0, "negative base with fractional exponent"),
+        ],
+    )
+    def test_first_error_of_shared_subtrees(self, texts, t, message):
+        trees = [parse(text) for text in texts]
+        with pytest.raises(DomainError) as info:
+            compile_exprs(*trees)(t)
+        assert str(info.value) == message
+        assert _outcome(lambda: [_walk(e, t) for e in trees]) == (DomainError, message)
+
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_overflow_where_the_walker_overflows(self, t):
+        huge = Num(Fraction(10 ** 400))  # no float: converting it overflows
+        trees = (Add(Div(Num(Fraction(1)), TVar()), huge), parse("exp(1000*t)"))
+        kernel = compile_exprs(*trees)
+        expected = _outcome(lambda: [_walk(e, t) for e in trees])
+        assert expected[0] in (DomainError, OverflowError)
+        assert _outcome(lambda: kernel(t)) == expected
+
+    def test_repeated_subtrees_compiled_once(self):
+        text = "sinh(2*t)/(1 + t^2) + ln(2 + t)"
+        alone = compile_exprs(parse(text))
+        twice = compile_exprs(parse(text), parse(text))  # equal, not identical
+        assert twice.__code__.co_varnames == alone.__code__.co_varnames
+        assert twice(0.3) == alone(0.3) * 2
+
+    def test_profile_kernels_compiled_once(self, monkeypatch):
+        compiled = []
+
+        def counting(*exprs):
+            compiled.append(exprs)
+            return compile_exprs(*exprs)
+
+        monkeypatch.setattr(exprlang, "compile_exprs", counting)
+        prof = ProfileFunctions.from_strings("2 + 0.3*t*sin(t)", "1 + 0.2*cosh(t/2)")
+        for t in (0.1, 0.2, 0.3):
+            jet = prof.jet_values(t)
+            assert _outcome(lambda: jet) == _outcome(
+                lambda: [_walk(e, t) for e in (prof.k, prof.k1, prof.k2, prof.r, prof.r1, prof.r2)]
+            )
+            assert (prof.k_value(t), prof.r_value(t)) == (jet[0], jet[3])
+        assert compiled == [
+            (prof.k, prof.k1, prof.k2, prof.r, prof.r1, prof.r2), (prof.k,), (prof.r,)
+        ]
