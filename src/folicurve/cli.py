@@ -48,6 +48,14 @@ def _parse_t_range(text: str) -> tuple[float, float, float | None]:
     return t0, t1, step
 
 
+def _leaf_count(t0: float, t1: float, step: float) -> int:
+    """Leaves of a scan from t0 to t1 at the given step, both ends included."""
+    count = abs(t1 - t0) / step
+    if not math.isfinite(count):
+        raise ValueError(f"t-range step {step!r} is too small to count the leaves of {t0!r}:{t1!r}")
+    return int(round(count)) + 1
+
+
 def _check_int(args: argparse.Namespace, name: str, minimum: int) -> None:
     """Reject a given option that is not an integer >= minimum."""
     value = getattr(args, name)
@@ -131,16 +139,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
         _check_int(args, "samples", 1)
         _check_int(args, "points_per_leaf", 1)
         _check_finite(args, "cmc_tol")
+        samples = args.samples or (_leaf_count(t0, t1, step) if step else 50)
     except ValueError as err:
         print(str(err), file=sys.stderr)
         return EXIT_INPUT
-    samples = args.samples or (int(round(abs(t1 - t0) / step)) + 1 if step else 50)
     try:
         report = geometry.constancy_scan(
             profile, (t0, t1), args.n, sig, samples, points_per_leaf=args.points_per_leaf
         )
     except (exprlang.DomainError, geometry.InvalidSphere, geometry.NotOnLeaf,
-            ArithmeticError, ValueError) as err:
+            geometry.DegenerateNormal, ArithmeticError, ValueError) as err:
         print(f"invalid profile on range: {err}", file=sys.stderr)
         return EXIT_INPUT
     if args.out_csv:
@@ -187,6 +195,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         t0, t1, step = _parse_t_range(args.t)
         _check_int(args, "n", 2)
         _check_int(args, "samples", 1)
+        _check_int(args, "off_segments", 3)
         _check_finite(args, "K", "H", "r0", "r1")
     except ValueError as err:
         print(str(err), file=sys.stderr)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .identity import (
@@ -26,7 +27,8 @@ from .identity import (
 )
 from .symexpr import Indeterminate
 
-LEAF_TOL = 1e-9          # membership in the leaf sphere
+LEAF_TOL = 1e-9          # membership in the leaf sphere, widened by LEAF_ROUNDING * |k r|
+LEAF_ROUNDING = 16 * sys.float_info.epsilon  # rounding of a point built on a leaf, per unit k r
 DEGENERACY_TOL = 1e-14   # |S^2| below this is a degenerate normal
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -124,8 +126,14 @@ def leaf_residual(p: SurfacePoint, jet: FoliationJet) -> float:
 
 
 def _require_on_leaf(p: SurfacePoint, jet: FoliationJet) -> None:
+    """Reject a point off the leaf by more than the rounding of a constructed point.
+
+    Rounding x_n = k + r cos(theta) shifts x_n - k by about eps * k, so the
+    residual of a point built on the leaf grows like eps * k * r.
+    """
     res = leaf_residual(p, jet)
-    if abs(res) > LEAF_TOL:
+    tol = LEAF_TOL + LEAF_ROUNDING * abs(jet.k * jet.r)
+    if abs(res) > tol:
         raise NotOnLeaf(f"leaf equation residual {res} at x_n={p.xn}, t={p.t}")
 
 

@@ -7,12 +7,19 @@ companions model the 2-jet of a center/radius profile, SIG is the tangential
 radius-squared, NU the (symbolic) ambient dimension.  Identities verified over
 this ring hold for every integer dimension at once.
 
+Each coefficient is stored in canonical form: a Python `int` when it is
+integral, a `fractions.Fraction` only when its denominator exceeds 1.  The
+verified polynomials have integer coefficients, so their arithmetic runs on
+plain ints while staying exact; `hash(3) == hash(Fraction(3))` keeps equality
+and hashing independent of the storage type.
+
 All values are immutable; operations are pure and safe to share.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -50,12 +57,25 @@ _T_CHAIN = {
 _T_BLOCKED = (Indeterminate.KAP2, Indeterminate.RHO2)
 
 
+def _exact(value) -> int | Fraction:
+    """The canonical coefficient: an int if `value` is integral, else a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 def _coerce(value) -> "SymExpr":
     if isinstance(value, SymExpr):
         return value
     if isinstance(value, (int, Fraction)):
-        return SymExpr._make({_ZERO_EXPS: Fraction(value)})
+        return SymExpr._make({_ZERO_EXPS: _exact(value)} if value else {})
     return NotImplemented
+
+
+def _canonical(raw: dict) -> dict:
+    """Drop the zero coefficients of an accumulated term map and canonicalise the rest."""
+    return {exps: _exact(c) for exps, c in raw.items() if c}
 
 
 class SymExpr:
@@ -68,11 +88,11 @@ class SymExpr:
     # _kernel: the compiled float evaluator, filled by the first eval_numeric.
     __slots__ = ("_terms", "_kernel")
 
-    def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, terms: Mapping[tuple, int | Fraction] | None = None):
         pruned = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     pruned[tuple(exps)] = coeff
         self._terms = pruned
@@ -86,7 +106,7 @@ class SymExpr:
 
     @classmethod
     def monomial(cls, coeff, exps: Mapping[Indeterminate, int]) -> "SymExpr":
-        coeff = Fraction(coeff)
+        coeff = _exact(coeff)
         if not coeff:
             return ZERO
         vec = [0] * _N
@@ -122,7 +142,7 @@ class SymExpr:
         for exps, coeff in other._terms.items():
             acc = out.get(exps, 0) + coeff
             if acc:
-                out[exps] = acc
+                out[exps] = _exact(acc)
             else:
                 out.pop(exps, None)
         return SymExpr._make(out)
@@ -146,15 +166,13 @@ class SymExpr:
         if other is NotImplemented:
             return NotImplemented
         out: dict = {}
+        get = out.get
+        add = operator.add
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
-                exps = tuple(x + y for x, y in zip(ea, eb))
-                acc = out.get(exps, 0) + ca * cb
-                if acc:
-                    out[exps] = acc
-                else:
-                    out.pop(exps, None)
-        return SymExpr._make(out)
+                exps = tuple(map(add, ea, eb))
+                out[exps] = get(exps, 0) + ca * cb
+        return SymExpr._make(_canonical(out))
 
     __rmul__ = __mul__
 
@@ -182,12 +200,8 @@ class SymExpr:
             new = list(exps)
             new[Indeterminate.X] = e - 1
             key = tuple(new)
-            acc = out.get(key, 0) + coeff * e
-            if acc:
-                out[key] = acc
-            else:
-                out.pop(key, None)
-        return SymExpr._make(out)
+            out[key] = out.get(key, 0) + coeff * e
+        return SymExpr._make(_canonical(out))
 
     def d_dt(self) -> "SymExpr":
         """Formal t-derivative with the jet chain KAP->KAP1->KAP2, RHO->RHO1->RHO2.
@@ -195,7 +209,7 @@ class SymExpr:
         X and SIG are t-independent.  Raises JetOrderExceeded if the input
         contains KAP2 or RHO2 (their derivatives are third-order jets).
         """
-        out = ZERO
+        out: dict = {}
         for exps, coeff in self._terms.items():
             for blocked in _T_BLOCKED:
                 if exps[blocked]:
@@ -209,8 +223,9 @@ class SymExpr:
                 new = list(exps)
                 new[ind] = e - 1
                 new[succ] += 1
-                out = out + SymExpr._make({tuple(new): coeff * e})
-        return out
+                key = tuple(new)
+                out[key] = out.get(key, 0) + coeff * e
+        return SymExpr._make(_canonical(out))
 
     # -- substitution and extraction ----------------------------------------
 
@@ -218,7 +233,9 @@ class SymExpr:
         """Replace every power of `ind` by the corresponding power of `replacement`."""
         replacement = _coerce(replacement)
         powers: dict[int, SymExpr] = {0: ONE}
-        out = ZERO
+        out: dict = {}
+        get = out.get
+        add = operator.add
         for exps, coeff in self._terms.items():
             e = exps[ind]
             if e < 0:
@@ -227,8 +244,10 @@ class SymExpr:
                 powers[e] = replacement ** e
             rest = list(exps)
             rest[ind] = 0
-            out = out + SymExpr._make({tuple(rest): coeff}) * powers[e]
-        return out
+            for ep, cp in powers[e]._terms.items():
+                key = tuple(map(add, rest, ep))
+                out[key] = get(key, 0) + coeff * cp
+        return SymExpr._make(_canonical(out))
 
     def reduce_level_set(self) -> "SymExpr":
         """Eliminate SIG via the leaf relation SIG = RHO^2 - (X - KAP)^2; idempotent."""
@@ -259,7 +278,8 @@ class SymExpr:
                     used.add(ind)
         return used
 
-    def terms(self) -> Iterator[tuple[tuple, Fraction]]:
+    def terms(self) -> Iterator[tuple[tuple, int | Fraction]]:
+        """(exponent vector, coefficient) pairs; coefficients in canonical form."""
         return iter(self._terms.items())
 
     def constant_value(self) -> Fraction:
@@ -268,7 +288,7 @@ class SymExpr:
             return Fraction(0)
         if set(self._terms) != {_ZERO_EXPS}:
             raise ValueError(f"not a constant: {self}")
-        return self._terms[_ZERO_EXPS]
+        return Fraction(self._terms[_ZERO_EXPS])
 
     # -- numeric evaluation --------------------------------------------------
 
@@ -374,24 +394,24 @@ class SymExpr:
 
 
 def rational(numerator: int, denominator: int = 1) -> SymExpr:
-    return SymExpr._make({_ZERO_EXPS: Fraction(numerator, denominator)}) if numerator else ZERO
+    return SymExpr({_ZERO_EXPS: Fraction(numerator, denominator)})
 
 
 def x_pow(exponent: int) -> SymExpr:
     """X^exponent for any integer exponent (the one Laurent direction)."""
     vec = [0] * _N
     vec[Indeterminate.X] = exponent
-    return SymExpr._make({tuple(vec): Fraction(1)})
+    return SymExpr._make({tuple(vec): 1})
 
 
 def _gen(ind: Indeterminate) -> SymExpr:
     vec = [0] * _N
     vec[ind] = 1
-    return SymExpr._make({tuple(vec): Fraction(1)})
+    return SymExpr._make({tuple(vec): 1})
 
 
 ZERO = SymExpr._make({})
-ONE = SymExpr._make({_ZERO_EXPS: Fraction(1)})
+ONE = SymExpr._make({_ZERO_EXPS: 1})
 
 X = _gen(Indeterminate.X)
 KAP = _gen(Indeterminate.KAP)

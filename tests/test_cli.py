@@ -88,6 +88,14 @@ class TestScan:
         )
         assert code == 2
 
+    def test_large_center_leaf_passes(self, capsys):
+        # the leaf residual of a point with k = 3e6, r = 10 rounds to ~1e-9
+        code, out, err = run(
+            ["scan", "--k", "3000000", "--r", "10", "--n", "3", "--t", "0:1"], capsys
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["leaves"] == 50
+
     def test_t_range_with_step(self, capsys):
         code, out, _ = run(
             ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "2", "--t", "0:1:0.25"],
@@ -143,12 +151,14 @@ class TestBadInput:
             ["convert", "--K", "1", "--R", "inf"],
             ["scan", "--k", "2+exp(1000*t)", "--r", "1", "--n", "3", "--t", "0:1"],
             ["scan", "--k", "2+exp(1000*t)", "--r", "1", "--n", "3", "--t", "0:1", "--samples", "2"],
+            ["scan", "--k", "100000*(1+t)", "--r", "0.001", "--n", "3", "--t", "0:1"],
         ],
         ids=[
             "scan-samples-negative", "scan-samples-zero", "scan-ppl-zero", "scan-ppl-negative",
             "scan-n0", "scan-n1", "generate-samples-zero", "generate-samples-negative",
             "generate-n0", "generate-n1", "generate-K-nan", "generate-H-inf",
             "convert-k-nan", "convert-R-inf", "scan-large-center", "scan-overflow",
+            "scan-degenerate-normal",
         ],
     )
     def test_exit_two_with_one_line(self, argv, capsys):
@@ -164,6 +174,27 @@ class TestBadInput:
         )
         assert code == 2
         assert err.startswith("invalid profile on range:")
+
+    def test_leaf_count_overflow(self, capsys):
+        code, out, err = run(["scan", "--k", "2", "--r", "1", "--n", "3", "--t", "0:1e308:1e-308"], capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("t-range step 1e-308 is too small")
+
+    @pytest.mark.parametrize("segments", ["0", "-3", "2"])
+    def test_off_segments_below_three_write_no_mesh(self, segments, tmp_path, capsys):
+        off_path = tmp_path / "m.off"
+        code, out, err = run(
+            ["generate", "--n", "2", "--K", "1", "--t", "0:0.01", "--off", str(off_path),
+             "--off-segments", segments],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith("--off-segments must be an integer >= 3")
+        assert not off_path.exists()
 
     @pytest.mark.parametrize("t_value", [5, 0.5, ["0:1"], {"a": 1}])
     def test_non_string_t_in_config(self, t_value, tmp_path, capsys):

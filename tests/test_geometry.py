@@ -12,6 +12,7 @@ from folicurve.geometry import (
     FoliationJet,
     HyperbolicCenter,
     InvalidSphere,
+    LEAF_TOL,
     NotOnLeaf,
     NullGradient,
     ScanReport,
@@ -23,6 +24,7 @@ from folicurve.geometry import (
     hyperbolic_to_euclidean,
     is_spacelike,
     leaf_points,
+    leaf_residual,
     mean_curvature_at,
     mean_curvature_fd,
 )
@@ -126,6 +128,24 @@ class TestMeanCurvature:
         jet = cylinder_jet()
         with pytest.raises(NotOnLeaf):
             mean_curvature_at(SurfacePoint(x=(0.5, 0.0, jet.k), t=0.0), jet, 3, RIEMANNIAN)
+
+    def test_point_near_unit_leaf_not_on_leaf(self):
+        jet = FoliationJet(t=0.0, k=2.0, k1=0.0, k2=0.0, r=1.0, r1=0.0, r2=0.0)
+        point = point_at(jet, jet.k + 0.5)
+        off = SurfacePoint(x=(point.x[0] + 1e-6,) + point.x[1:], t=0.0)
+        assert mean_curvature_at(point, jet, 3, RIEMANNIAN)
+        with pytest.raises(NotOnLeaf):
+            mean_curvature_at(off, jet, 3, RIEMANNIAN)
+
+    def test_leaf_tolerance_scales_with_center_and_radius(self):
+        jet = FoliationJet(t=0.0, k=3.0e6, k1=0.0, k2=0.0, r=10.0, r1=0.0, r2=0.0)
+        points = leaf_points(jet, 3, 8)
+        assert max(abs(leaf_residual(p, jet)) for p in points) > LEAF_TOL
+        for point in points:
+            mean_curvature_at(point, jet, 3, RIEMANNIAN)
+        off = SurfacePoint(x=(points[0].x[0] + 1e-3,) + points[0].x[1:], t=0.0)
+        with pytest.raises(NotOnLeaf):
+            mean_curvature_at(off, jet, 3, RIEMANNIAN)
 
     def test_lorentzian_rejects_non_spacelike(self):
         jet = cylinder_jet()

@@ -1,11 +1,13 @@
 """Divergence pipeline vs the closed-form cubic, both signatures."""
 
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from folicurve import cli
 from folicurve.identity import (
     CubicCoefficients,
     GeometrySignature,
@@ -248,3 +250,51 @@ class TestTheoremResiduals:
             assert abs(deg0) < 1e-40 and abs(c1_val) < 1e-20
         else:
             assert deg0 > 0.0 and c1_val > 0.0
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of the exact texts, recorded with every coefficient stored as a Fraction
+GOLDEN_OBJECTS = {
+    "neg_nH_S3-riemannian": "2caf4a175415de573b8aa84d2371d916806f25f7fe6532c310156fbf3cae95ee",
+    "c3-riemannian": "3e0208797f9619d645c7b9084fb44acb992fff73a75784c557b1762e14974a1f",
+    "c2-riemannian": "6753ac5ead70ecfd35934f509479b2a3e0de448af57d6815060796062b8881f5",
+    "c1-riemannian": "697d8fd5b42278fbf53f7dce1f43a8c0e855a6615e9d6e3f4d7099da662621ee",
+    "neg_nH_S3-lorentzian": "071b5d2f1cfb8bb3eeb48e8aa71e4b9d626ff94994fdb384916634a241e2b5a9",
+    "c3-lorentzian": "fb0d72b8bfe7b3791f159b94a7388211b9ecad848f3ad60b44da6df42304cf8a",
+    "c2-lorentzian": "6753ac5ead70ecfd35934f509479b2a3e0de448af57d6815060796062b8881f5",
+    "c1-lorentzian": "697d8fd5b42278fbf53f7dce1f43a8c0e855a6615e9d6e3f4d7099da662621ee",
+}
+GOLDEN_MUTATED_RESIDUALS = {
+    "c1-riemannian": "b483fa93b04285b56cc4f58255bdbabc643f1cf457ee06a8d021565b162caae0",
+    "c1-lorentzian": "44deb6a06f7cef51d0f5034bce3e3a7e6a706017a214c976cb177271168aa9a9",
+    "c2-riemannian": "5f1a2edd638bd1c5445cc3ce6722d657690a8d17b0bff06f6058cba736faae5b",
+    "c2-lorentzian": "50d77f1a392b0aeed43d66f43bb14d3515eec55f1055f3d60dc09de9cdee4c20",
+    "c3-riemannian": "1326eefc49217f3acea54e2ef0041b973caf6577f28ae3dd55a7fb3c3913f3d7",
+    "c3-lorentzian": "0d9e030765475954dac04cbefddb01aaecfb4403c6353eabf84d67a04870813a",
+}
+
+
+class TestGoldenTexts:
+    @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
+    def test_exact_objects(self, sig):
+        cubic = bracket_cubic(sig)
+        texts = {
+            "neg_nH_S3": neg_nH_S3(sig).to_text(),
+            "c3": cubic.c3.to_text(),
+            "c2": cubic.c2.to_text(),
+            "c1": cubic.c1.to_text(),
+        }
+        for name, text in texts.items():
+            assert sha256(text) == GOLDEN_OBJECTS[f"{name}-{sig.label}"], name
+
+    @pytest.mark.parametrize("which", ["c1", "c2", "c3"])
+    def test_mutated_residual_texts(self, which, capsys):
+        assert cli.main(["verify", "--mutate", which]) == 1
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["signature"] for r in reports] == ["riemannian", "lorentzian"]
+        for report in reports:
+            key = f"{which}-{report['signature']}"
+            assert sha256(report["residual_text"]) == GOLDEN_MUTATED_RESIDUALS[key], key

@@ -2,6 +2,7 @@
 
 import math
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -330,6 +331,115 @@ class TestCompiledKernel:
         assert p.eval_numeric({Indeterminate.X: 2.0, Indeterminate.KAP: 1.0}) == 1.5
         with pytest.raises(ValueError, match="X binding must be positive"):
             p.eval_numeric({Indeterminate.X: -2.0, Indeterminate.KAP: 1.0})
+
+
+def fraction_add(a: SymExpr, b: SymExpr) -> dict:
+    """The Fraction-only term loop of addition; the reference for the coefficient storage."""
+    out = {exps: Fraction(c) for exps, c in a.terms()}
+    for exps, coeff in b.terms():
+        acc = out.get(exps, 0) + Fraction(coeff)
+        if acc:
+            out[exps] = acc
+        else:
+            out.pop(exps, None)
+    return out
+
+
+def fraction_mul(a: SymExpr, b: SymExpr) -> dict:
+    """The Fraction-only term loop of multiplication."""
+    out: dict = {}
+    for ea, ca in a.terms():
+        for eb, cb in b.terms():
+            exps = tuple(x + y for x, y in zip(ea, eb))
+            acc = out.get(exps, 0) + Fraction(ca) * Fraction(cb)
+            if acc:
+                out[exps] = acc
+            else:
+                out.pop(exps, None)
+    return out
+
+
+def fraction_stored(terms: dict) -> SymExpr:
+    """A SymExpr that stores every coefficient, integral ones included, as a Fraction."""
+    return SymExpr._make(terms)
+
+
+def assert_canonical(p: SymExpr) -> None:
+    for _, coeff in p.terms():
+        assert coeff
+        assert type(coeff) in (int, Fraction)
+        assert (type(coeff) is int) == (Fraction(coeff).denominator == 1)
+
+
+integer_coeffs = st.integers(min_value=-4, max_value=4)
+proper_fractions = coeffs.filter(lambda q: q.denominator > 1)
+coefficient_kinds = [coeffs, integer_coeffs, proper_fractions]
+
+
+def typed_exprs(kind) -> st.SearchStrategy:
+    return st.dictionaries(exponents(), kind, max_size=4).map(SymExpr)
+
+
+any_exprs = st.one_of(*(typed_exprs(kind) for kind in coefficient_kinds))
+
+
+class TestCanonicalCoefficients:
+    @pytest.mark.parametrize("op, reference", [
+        (lambda a, b: a + b, fraction_add),
+        (lambda a, b: a * b, fraction_mul),
+    ], ids=["add", "mul"])
+    @given(a=any_exprs, b=any_exprs)
+    @settings(max_examples=150)
+    def test_matches_fraction_term_loop(self, op, reference, a, b):
+        result = op(a, b)
+        expected = fraction_stored(reference(a, b))
+        assert result == expected and hash(result) == hash(expected)
+        assert result.to_text() == expected.to_text()
+        assert_canonical(result)
+
+    @given(any_exprs)
+    @settings(max_examples=100)
+    def test_constructors_and_calculus_are_canonical(self, a):
+        assert_canonical(a)
+        assert_canonical(-a)
+        assert_canonical(a.d_dX())
+        assert_canonical(a.reduce_level_set())
+        assert_canonical(a.coeff_of_X(0))
+        if not ({Indeterminate.KAP2, Indeterminate.RHO2} & a.indeterminates()):
+            assert_canonical(a.d_dt())
+
+    @given(any_exprs)
+    @settings(max_examples=100)
+    def test_text_matches_fraction_storage(self, a):
+        stored = fraction_stored({exps: Fraction(c) for exps, c in a.terms()})
+        assert a == stored and hash(a) == hash(stored)
+        assert a.to_text() == stored.to_text()
+
+    @given(coeffs, coeffs)
+    def test_constant_value_is_a_fraction(self, p, q):
+        constant = SymExpr.monomial(p, {})
+        cases = [(rational(p.numerator, p.denominator), p), (constant * q, p * q),
+                 (constant + q, p + q), (constant - p, 0)]
+        for const, expected in cases:
+            value = const.constant_value()
+            assert type(value) is Fraction and value == expected
+            assert_canonical(const)
+
+    def test_integral_products_of_fractions_become_ints(self):
+        p = rational(1, 2) * X * rational(2) * KAP + rational(3, 4) * (rational(4, 3) * RHO)
+        assert dict(p.terms()) == {((1, 1) + (0,) * 7): 1, ((0,) * 4 + (1,) + (0,) * 4): 1}
+        assert all(type(c) is int for _, c in p.terms())
+        assert all(type(c) is int for _, c in (rational(1, 2) * X ** 2).d_dX().terms())
+
+    def test_integer_scalars_coerce_like_polynomials(self):
+        assert ZERO == 0 and X - X == 0
+        assert ONE == 1 == rational(2, 2)
+        assert (X + 0) == X and (X * 1) == X and (X * 0).is_zero
+        assert rational(3, 6) == Fraction(1, 2)
+
+    @pytest.mark.parametrize("name", sorted(VERIFIED))
+    def test_verified_polynomials_have_int_coefficients(self, name):
+        assert all(type(c) is int for _, c in VERIFIED[name].terms())
 
 
 class TestTextForm:
