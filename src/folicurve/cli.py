@@ -9,11 +9,15 @@ sets the log level; data files never contain timestamps.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import functools
 import json
 import logging
 import math
 import os
 import sys
+from typing import Any, Callable
 
 from . import exprlang, geometry, identity, profiles
 from .identity import GeometrySignature, IdentityViolation
@@ -24,6 +28,10 @@ EXIT_IDENTITY = 1
 EXIT_INPUT = 2
 EXIT_INADMISSIBLE = 3
 
+MAX_ROWS = 10**6  # rows a run may request; a scan row of n coordinates counts n times
+
+REQUIRED = object()  # the default of an option that has to be given
+
 log = logging.getLogger("folicurve")
 
 
@@ -32,86 +40,97 @@ def _setup_logging() -> None:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING))
 
 
-def _parse_t_range(text: str) -> tuple[float, float, float | None]:
-    """'a:b' or 'a:b:step'."""
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _checked(kind: type, accept: Callable[[Any], bool] | None,
+             what: str) -> Callable[[str, Any], Any]:
+    """A converter to `kind`: an integer flag's text is parsed, any other value
+    must already be a `kind` (a bool is never an int), and `accept`, if given,
+    must hold."""
+
+    def convert(flag: str, value):
+        if kind is int and isinstance(value, str):
+            with contextlib.suppress(ValueError):
+                value = int(value)
+        if type(value) is not kind or accept and not accept(value):
+            raise ValueError(f"{flag} must be {what}, got {value!r}")
+        return value
+
+    return convert
+
+
+_text = _checked(str, None, "a string")
+_switch = _checked(bool, None, "true or false")
+
+
+def _integer(minimum: int) -> Callable[[str, Any], int]:
+    return _checked(int, minimum.__le__, f"an integer >= {minimum}")
+
+
+def _choice(*allowed) -> Callable[[str, Any], Any]:
+    return _checked(type(allowed[0]), allowed.__contains__, "one of " + ", ".join(map(str, allowed)))
+
+
+def _real(flag: str, value) -> float:
+    """A finite float from a flag's text or a JSON number (not a bool)."""
+    number = math.nan
+    with contextlib.suppress(OverflowError, ValueError):
+        number = float(value) if type(value) in (str, int, float) else math.nan
+    if not math.isfinite(number):
+        raise ValueError(f"{flag} must be a finite number, got {value!r}")
+    return number
+
+
+def _t_range(flag: str, text, default_step: float | None = None) -> tuple:
+    """'a:b' or 'a:b:step' -> (t0, t1, step); without a step, `default_step`."""
     if not isinstance(text, str):
         raise ValueError(f"t-range must be a string 'a:b' or 'a:b:step', got {text!r}")
     pieces = text.split(":")
     if len(pieces) not in (2, 3):
         raise ValueError(f"t-range must be 'a:b' or 'a:b:step', got {text!r}")
     t0, t1 = float(pieces[0]), float(pieces[1])
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"t-range bounds must be finite, got {text!r}")
-    step = float(pieces[2]) if len(pieces) == 3 else None
+    if not math.isfinite(t1 - t0):
+        raise ValueError(f"t-range bounds and their difference must be finite, got {text!r}")
+    step = float(pieces[2]) if len(pieces) == 3 else default_step
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ValueError(f"t-range step must be finite and positive, got {text!r}")
     return t0, t1, step
 
 
-def _leaf_count(t0: float, t1: float, step: float) -> int:
-    """Leaves of a scan from t0 to t1 at the given step, both ends included."""
+def _scan_leaves(settings: dict) -> int:
+    """Default leaf count of a scan: one per --t step, both ends included, else 50."""
+    t0, t1, step = settings["t"]
+    if step is None:
+        return 50
     count = abs(t1 - t0) / step
     if not math.isfinite(count):
         raise ValueError(f"t-range step {step!r} is too small to count the leaves of {t0!r}:{t1!r}")
     return int(round(count)) + 1
 
 
-def _check_int(args: argparse.Namespace, name: str, minimum: int) -> None:
-    """Reject a given option that is not an integer >= minimum."""
-    value = getattr(args, name)
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < minimum):
-        flag = name.replace("_", "-")
-        raise ValueError(f"--{flag} must be an integer >= {minimum}, got {value!r}")
-
-
-def _check_finite(args: argparse.Namespace, *names: str) -> None:
-    """Reject a given option that is not a finite number."""
-    for name in names:
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            flag = name.replace("_", "-")
-            raise ValueError(f"--{flag} must be a finite number, got {value!r}")
-
-
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill still-unset options from the --config JSON file (flags win)."""
-    path = getattr(args, "config", None)
-    if not path:
-        return args
-    with open(path) as handle:
-        payload = json.load(handle)
-    for key, value in payload.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise ValueError(f"unknown config key {key!r}")
-        if getattr(args, attr) is None:
-            setattr(args, attr, value)
-    return args
-
-
-def _signature(label: str) -> GeometrySignature:
-    return GeometrySignature.from_label(label)
+def _too_many(what: str, **factors: int | float) -> bool:
+    """Report a request for more than MAX_ROWS rows, before anything is allocated."""
+    if math.prod(factors.values()) <= MAX_ROWS:
+        return False
+    sizes = " x ".join(f"{value} {name}" for name, value in factors.items())
+    print(f"{what} asks for {sizes}: over the cap of {MAX_ROWS} rows", file=sys.stderr)
+    return True
 
 
 def _mutated_bracket(sig: GeometrySignature, which: str) -> identity.CubicCoefficients:
     """Fault-injection hook: perturb one bracket coefficient by KAP*RHO^2."""
     cubic = identity.bracket_cubic(sig)
-    delta = KAP * RHO ** 2
-    parts = {"c3": cubic.c3, "c2": cubic.c2, "c1": cubic.c1}
-    parts[which] = parts[which] - delta
-    return identity.CubicCoefficients(**parts)
+    return dataclasses.replace(cubic, **{which: getattr(cubic, which) - KAP * RHO ** 2})
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    labels = (
-        ["riemannian", "lorentzian"] if args.signature in (None, "both") else [args.signature]
-    )
+    labels = ["riemannian", "lorentzian"] if args.signature == "both" else [args.signature]
     reports = []
     status = EXIT_OK
     for label in labels:
-        sig = _signature(label)
+        sig = GeometrySignature.from_label(label)
         bracket = _mutated_bracket(sig, args.mutate) if args.mutate else None
         try:
             report = identity.verify_squared_identity(sig, bracket=bracket)
@@ -127,26 +146,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    sig = _signature(args.signature or "riemannian")
+    if _too_many("scan", leaves=args.samples, points=args.points_per_leaf, coordinates=args.n):
+        return EXIT_INPUT
     try:
         profile = exprlang.ProfileFunctions.from_strings(args.k, args.r)
+        report = geometry.constancy_scan(
+            profile, args.t[:2], args.n, GeometrySignature.from_label(args.signature),
+            args.samples, points_per_leaf=args.points_per_leaf,
+        )
     except exprlang.ParseError as err:
         print(f"expression error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        t0, t1, step = _parse_t_range(args.t)
-        _check_int(args, "n", 2)
-        _check_int(args, "samples", 1)
-        _check_int(args, "points_per_leaf", 1)
-        _check_finite(args, "cmc_tol")
-        samples = args.samples or (_leaf_count(t0, t1, step) if step else 50)
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = geometry.constancy_scan(
-            profile, (t0, t1), args.n, sig, samples, points_per_leaf=args.points_per_leaf
-        )
     except (exprlang.DomainError, geometry.InvalidSphere, geometry.NotOnLeaf,
             geometry.DegenerateNormal, ArithmeticError, ValueError) as err:
         print(f"invalid profile on range: {err}", file=sys.stderr)
@@ -157,8 +167,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         with open(args.out_json, "w") as handle:
             handle.write(report.to_json())
     summary = report.summary()
-    tol = args.cmc_tol if args.cmc_tol is not None else 1e-6
-    summary["cmc"] = report.max_dev is not None and report.max_dev < tol
+    summary["cmc"] = report.max_dev is not None and report.max_dev < args.cmc_tol
     print(json.dumps(summary, indent=2))
     if report.mean_H is None:
         log.warning("no admissible points in scan")
@@ -169,40 +178,32 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def _write_off(path: str, profile: profiles.RotationalProfile, segments: int) -> None:
     """Surface mesh for n = 2: sweep each leaf circle in (x1, x2) at height t."""
     rows = profile.rows
-    vertices = []
-    for row in rows:
-        for j in range(segments):
-            theta = 2.0 * math.pi * j / segments
-            vertices.append((row.r * math.sin(theta), row.k + row.r * math.cos(theta), row.t))
-    faces = []
-    for i in range(len(rows) - 1):
-        base, nxt = i * segments, (i + 1) * segments
-        for j in range(segments):
-            jn = (j + 1) % segments
-            faces.append((base + j, base + jn, nxt + jn, nxt + j))
     with open(path, "w") as handle:
         handle.write("OFF\n")
-        handle.write(f"{len(vertices)} {len(faces)} 0\n")
-        for x1, x2, t in vertices:
-            handle.write(f"{x1!r} {x2!r} {t!r}\n")
-        for face in faces:
-            handle.write("4 " + " ".join(str(v) for v in face) + "\n")
+        handle.write(f"{len(rows) * segments} {(len(rows) - 1) * segments} 0\n")
+        for row in rows:
+            for j in range(segments):
+                theta = 2.0 * math.pi * j / segments
+                x1, x2 = row.r * math.sin(theta), row.k + row.r * math.cos(theta)
+                handle.write(f"{x1!r} {x2!r} {row.t!r}\n")
+        for base in range(0, (len(rows) - 1) * segments, segments):
+            for j in range(segments):
+                jn = (j + 1) % segments
+                handle.write(f"4 {base + j} {base + jn} {base + segments + jn} {base + segments + j}\n")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    sig = _signature(args.signature or "riemannian")
-    try:
-        t0, t1, step = _parse_t_range(args.t)
-        _check_int(args, "n", 2)
-        _check_int(args, "samples", 1)
-        _check_int(args, "off_segments", 3)
-        _check_finite(args, "K", "H", "r0", "r1")
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_INPUT
-    step = step or 1e-3
+    t0, t1, step = args.t
     if args.off and args.n != 2:
         print("OFF export is defined for n = 2 only", file=sys.stderr)
+        return EXIT_INPUT
+    steps = abs(t1 - t0) / step
+    if _too_many("generate", rows=steps + 1):
+        return EXIT_INPUT
+    rows = math.ceil(steps) + 1
+    if (args.validate and _too_many("generate --validate", leaves=max(args.samples, rows),
+                                    points=geometry.POINTS_PER_LEAF, coordinates=args.n)
+            or args.off and _too_many("generate --off", rows=rows, segments=args.off_segments)):
         return EXIT_INPUT
     try:
         profile = profiles.integrate_profile(
@@ -213,7 +214,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
             K=args.K,
             H=args.H,
             n=args.n,
-            sig=sig,
+            sig=GeometrySignature.from_label(args.signature),
             sign_branch=args.sign_branch,
         )
     except (ValueError, profiles.StepUnstable, profiles.NonSpacelike,
@@ -229,7 +230,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
         _write_off(args.off, profile, args.off_segments)
 
     summary = {
-        "signature": sig.label,
+        "signature": args.signature,
         "n": args.n,
         "K": args.K,
         "H_target": args.H,
@@ -240,7 +241,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     }
     if args.validate:
         try:
-            report = profiles.validate_profile(profile, samples=args.samples or 50)
+            report = profiles.validate_profile(profile, samples=args.samples)
         except profiles.ValidationFailed as err:
             summary["validated"] = False
             print(json.dumps(summary, indent=2))
@@ -255,27 +256,15 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    try:
-        _check_finite(args, "k", "r", "K", "R")
-    except ValueError as err:
-        print(str(err), file=sys.stderr)
-        return EXIT_INPUT
-    euclidean = args.k is not None or args.r is not None
-    hyperbolic = args.K is not None or args.R is not None
-    if euclidean == hyperbolic:
-        print("supply exactly one pair: --k/--r or --K/--R", file=sys.stderr)
+    half_pair = (args.k is None) != (args.r is None) or (args.K is None) != (args.R is None)
+    if half_pair or (args.k is None) == (args.K is None):
+        print("supply exactly one pair: --k and --r, or --K and --R", file=sys.stderr)
         return EXIT_INPUT
     try:
-        if euclidean:
-            if args.k is None or args.r is None:
-                print("both --k and --r are required", file=sys.stderr)
-                return EXIT_INPUT
+        if args.k is not None:
             center = geometry.euclidean_to_hyperbolic(args.k, args.r)
             k, r = args.k, args.r
         else:
-            if args.K is None or args.R is None:
-                print("both --K and --R are required", file=sys.stderr)
-                return EXIT_INPUT
             center = geometry.HyperbolicCenter(K=args.K, R=args.R)
             k, r = geometry.hyperbolic_to_euclidean(center)
     except geometry.InvalidSphere as err:
@@ -285,94 +274,109 @@ def cmd_convert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _commands() -> dict[str, tuple]:
+    """Each subcommand's (help, handler, options).  An option is (name,
+    converter, default, help): `converter(flag, value)` checks a flag's text
+    or a config value; the default is REQUIRED, a value, or a function of the
+    converted settings."""
+    return {
+        "verify": ("verify the squared curvature identities", cmd_verify, (
+            ("signature", _choice("riemannian", "lorentzian", "both"), "both",
+             "riemannian, lorentzian or both (default)"),
+            ("mutate", _choice("c1", "c2", "c3"), None,
+             "fault-injection hook: perturb a bracket coefficient (c1, c2 or c3)"),
+        )),
+        "scan": ("scan mean curvature over a foliated profile", cmd_scan, (
+            ("k", _text, REQUIRED, "center expression k(t)"),
+            ("r", _text, REQUIRED, "radius expression r(t)"),
+            ("n", _integer(2), REQUIRED, None),
+            ("signature", _choice("riemannian", "lorentzian"), "riemannian", None),
+            ("t", _t_range, REQUIRED, "t-range a:b or a:b:step"),
+            ("samples", _integer(1), _scan_leaves, "leaves (default: one per --t step, else 50)"),
+            ("points_per_leaf", _integer(1), geometry.POINTS_PER_LEAF, None),
+            ("cmc_tol", _real, 1e-6, None),
+            ("out_csv", _text, None, None),
+            ("out_json", _text, None, None),
+        )),
+        "generate": ("integrate a rotational CMC profile", cmd_generate, (
+            ("n", _integer(2), REQUIRED, None),
+            ("H", _real, 0.0, None),
+            ("K", _real, REQUIRED, None),
+            ("r0", _real, 1.0, None),
+            ("r1", _real, 0.0, None),
+            ("t", functools.partial(_t_range, default_step=1e-3), REQUIRED,
+             "t-range a:b or a:b:step (default step 1e-3)"),
+            ("signature", _choice("riemannian", "lorentzian"), "riemannian", None),
+            ("sign_branch", _choice(-1, 1), -1, None),
+            ("validate", _switch, False, None),
+            ("samples", _integer(1), 50, "validation leaves"),
+            ("out_csv", _text, None, None),
+            ("out_json", _text, None, None),
+            ("off", _text, None, "OFF mesh path (n = 2 only)"),
+            ("off_segments", _integer(3), 48, None),
+        )),
+        "convert": ("Euclidean <-> hyperbolic center/radius", cmd_convert,
+                    tuple((name, _real, None, None) for name in ("k", "r", "K", "R"))),
+    }
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argparse front end of the option tables; it collects raw strings only."""
     parser = argparse.ArgumentParser(
         prog="folicurve",
         description="Curvature identities and rotational CMC profiles for "
         "sphere-foliated hypersurfaces in hyperbolic product spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_verify = sub.add_parser("verify", help="verify the squared curvature identities")
-    p_verify.add_argument("--signature", choices=["riemannian", "lorentzian", "both"])
-    p_verify.add_argument("--mutate", choices=["c1", "c2", "c3"],
-                          help="fault-injection hook: perturb a bracket coefficient")
-    p_verify.add_argument("--config")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_scan = sub.add_parser("scan", help="scan mean curvature over a foliated profile")
-    p_scan.add_argument("--k", help="center expression k(t)")
-    p_scan.add_argument("--r", help="radius expression r(t)")
-    p_scan.add_argument("--n", type=int)
-    p_scan.add_argument("--signature", choices=["riemannian", "lorentzian"])
-    p_scan.add_argument("--t", help="t-range a:b or a:b:step")
-    p_scan.add_argument("--samples", type=int)
-    p_scan.add_argument("--points-per-leaf", type=int, default=8)
-    p_scan.add_argument("--cmc-tol", type=float)
-    p_scan.add_argument("--out-csv")
-    p_scan.add_argument("--out-json")
-    p_scan.add_argument("--config")
-    p_scan.set_defaults(func=cmd_scan)
-
-    p_gen = sub.add_parser("generate", help="integrate a rotational CMC profile")
-    p_gen.add_argument("--n", type=int)
-    p_gen.add_argument("--H", type=float, default=None)
-    p_gen.add_argument("--K", type=float)
-    p_gen.add_argument("--r0", type=float, default=None)
-    p_gen.add_argument("--r1", type=float, default=None)
-    p_gen.add_argument("--t", help="t-range a:b or a:b:step")
-    p_gen.add_argument("--signature", choices=["riemannian", "lorentzian"])
-    p_gen.add_argument("--sign-branch", type=int, choices=[-1, 1], default=None)
-    p_gen.add_argument("--validate", action="store_true")
-    p_gen.add_argument("--samples", type=int)
-    p_gen.add_argument("--out-csv")
-    p_gen.add_argument("--out-json")
-    p_gen.add_argument("--off", help="OFF mesh path (n = 2 only)")
-    p_gen.add_argument("--off-segments", type=int, default=48)
-    p_gen.add_argument("--config")
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_conv = sub.add_parser("convert", help="Euclidean <-> hyperbolic center/radius")
-    p_conv.add_argument("--k", type=float)
-    p_conv.add_argument("--r", type=float)
-    p_conv.add_argument("--K", type=float)
-    p_conv.add_argument("--R", type=float)
-    p_conv.set_defaults(func=cmd_convert)
+    for command, (help_text, run, options) in _commands().items():
+        p_sub = sub.add_parser(command, help=help_text)
+        p_sub.set_defaults(run=run, options=options)
+        for name, convert, _, option_help in options:
+            switch = {"action": "store_const", "const": True} if convert is _switch else {}
+            p_sub.add_argument(_flag(name), help=option_help, **switch)
+        p_sub.add_argument("--config", help="JSON object of option values; flags win")
     return parser
 
 
-def _apply_defaults(args: argparse.Namespace) -> None:
-    defaults = {"H": 0.0, "r0": 1.0, "r1": 0.0, "sign_branch": -1}
-    for key, value in defaults.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-
-
-def _check_required(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    required = {
-        "scan": ("k", "r", "n", "t"),
-        "generate": ("n", "K", "t"),
-    }
-    for name in required.get(args.command, ()):
-        if getattr(args, name, None) is None:
-            parser.error(f"--{name} is required for {args.command} (flag or config)")
+def _read_config(path: str | None, names) -> dict:
+    """The values of a --config JSON object, whose keys must be in `names`."""
+    if not path:
+        return {}
+    with open(path) as handle:
+        config = json.load(handle)
+    if not isinstance(config, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(config).__name__}")
+    for key in config:
+        if key not in names:
+            raise ValueError(f"unknown config key {key!r}")
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand: the config file fills the options no flag set, every
+    given value passes its converter, and the table's defaults fill the rest."""
     _setup_logging()
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    flags = vars(_parser().parse_args(argv))
+    command, run, options = flags.pop("command"), flags.pop("run"), flags.pop("options")
     try:
-        _merge_config(args)
-    except (OSError, ValueError) as err:
+        given = _read_config(flags.pop("config"), flags)
+    except (OSError, ValueError, RecursionError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_INPUT
+    given.update((name, value) for name, value in flags.items() if value is not None)
     try:
-        _check_required(args, parser)
-    except SystemExit:
+        settings = {name: convert(_flag(name), given[name])
+                    for name, convert, *_ in options if name in given}
+        for name, _, default, _ in options:
+            if name not in settings:
+                if default is REQUIRED:
+                    raise ValueError(f"{_flag(name)} is required for {command} (flag or config)")
+                settings[name] = default(settings) if callable(default) else default
+    except ValueError as err:
+        print(err, file=sys.stderr)
         return EXIT_INPUT
-    _apply_defaults(args)
-    return args.func(args)
+    return run(argparse.Namespace(**settings))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 from .identity import (
     GeometrySignature,
+    InvalidSphere,
     RIEMANNIAN,
     neg_nH_S3,
     s_squared_reduced,
@@ -30,12 +31,9 @@ from .symexpr import Indeterminate
 LEAF_TOL = 1e-9          # membership in the leaf sphere, widened by LEAF_ROUNDING * |k r|
 LEAF_ROUNDING = 16 * sys.float_info.epsilon  # rounding of a point built on a leaf, per unit k r
 DEGENERACY_TOL = 1e-14   # |S^2| below this is a degenerate normal
+POINTS_PER_LEAF = 8      # sample points per leaf of a scan, unless asked otherwise
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-class InvalidSphere(Exception):
-    """Sphere data violates k > r > 0 (leaf leaves the open half-space)."""
 
 
 class DegenerateNormal(Exception):
@@ -311,7 +309,7 @@ def constancy_scan(
     n: int,
     sig: GeometrySignature,
     samples: int,
-    points_per_leaf: int = 8,
+    points_per_leaf: int = POINTS_PER_LEAF,
 ) -> ScanReport:
     """Evaluate H on a leaves x points grid; report the constancy diagnostics."""
     if samples < 1:

@@ -47,8 +47,8 @@ class IdentityViolation(Exception):
         self.report = report
 
 
-class InvalidJet(Exception):
-    """Jet violates k > r > 0."""
+class InvalidSphere(Exception):
+    """Sphere data violates k > r > 0 (leaf leaves the open half-space)."""
 
 
 class GeometrySignature(enum.Enum):
@@ -260,7 +260,7 @@ def theorem_residuals(jet, H: float, n: int, sig: GeometrySignature) -> tuple[fl
     if n < 2:
         raise ValueError("dimension must be at least 2")
     if not (jet.k > jet.r > 0):
-        raise InvalidJet(f"need k > r > 0, got k={jet.k}, r={jet.r}")
+        raise InvalidSphere(f"need k > r > 0, got k={jet.k}, r={jet.r}")
     _residual_forms_verified(sig)
     gap = jet.r * jet.r1 - jet.k * jet.k1
     deg0 = (n * H) ** 2 * gap ** 6

@@ -132,6 +132,9 @@ class SymExpr:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its number (see __eq__), so it hashes like it
+        if not self._terms.keys() - {_ZERO_EXPS}:
+            return hash(self._terms.get(_ZERO_EXPS, 0))
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other) -> "SymExpr":

@@ -1,20 +1,40 @@
 """Exit-code contract and output formats of the command-line front door."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from folicurve import cli
+from folicurve import cli, geometry, profiles
 
 
 def run(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_with_config(argv, payload, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(payload))
+    return run(argv + ["--config", str(config)], capsys)
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail a test whose CLI call reaches the scan or the integrator."""
+    def started(*args, **kwargs):
+        raise AssertionError("the run started")
+    for module, name in ((geometry, "constancy_scan"), (profiles, "integrate_profile"),
+                         (profiles, "validate_profile")):
+        monkeypatch.setattr(module, name, started)
 
 
 class TestVerify:
@@ -112,7 +132,9 @@ class TestTimeRange:
          ["generate", "--K", "1", "--n", "3"]],
         ids=["scan", "generate"],
     )
-    @pytest.mark.parametrize("t_range", ["0:1:-0.1", "0:1:nan", "0:1:0", "0:1:inf", "0:inf", "nan:1"])
+    @pytest.mark.parametrize(
+        "t_range", ["0:1:-0.1", "0:1:nan", "0:1:0", "0:1:inf", "0:inf", "nan:1", "1e308:-1e308"]
+    )
     def test_bad_t_range_exit_two(self, argv, t_range, capsys):
         code, out, err = run(argv + ["--t", t_range], capsys)
         assert code == 2
@@ -152,13 +174,20 @@ class TestBadInput:
             ["scan", "--k", "2+exp(1000*t)", "--r", "1", "--n", "3", "--t", "0:1"],
             ["scan", "--k", "2+exp(1000*t)", "--r", "1", "--n", "3", "--t", "0:1", "--samples", "2"],
             ["scan", "--k", "100000*(1+t)", "--r", "0.001", "--n", "3", "--t", "0:1"],
+            ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "3", "--t=-1e308:1e308",
+             "--samples", "3"],
+            ["generate", "--K", "1", "--n", "3", "--t=-1e308:1e308"],
+            ["verify", "--signature", "foo"],
+            ["generate", "--K", "1", "--n", "3", "--t", "0:0.1", "--sign-branch", "0"],
+            ["convert", "--k", "5"],
         ],
         ids=[
             "scan-samples-negative", "scan-samples-zero", "scan-ppl-zero", "scan-ppl-negative",
             "scan-n0", "scan-n1", "generate-samples-zero", "generate-samples-negative",
             "generate-n0", "generate-n1", "generate-K-nan", "generate-H-inf",
             "convert-k-nan", "convert-R-inf", "scan-large-center", "scan-overflow",
-            "scan-degenerate-normal",
+            "scan-degenerate-normal", "scan-t-width-overflow", "generate-t-width-overflow",
+            "verify-signature-unknown", "generate-sign-branch-zero", "convert-half-pair",
         ],
     )
     def test_exit_two_with_one_line(self, argv, capsys):
@@ -195,6 +224,30 @@ class TestBadInput:
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("--off-segments must be an integer >= 3")
         assert not off_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "3", "--t", "0:1:1e-9"],
+            ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "1000000000", "--t", "0:1"],
+            ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "3", "--t", "0:1",
+             "--samples", "1000000", "--points-per-leaf", "1000000"],
+            ["generate", "--K", "1", "--n", "3", "--t", "0:1:1e-300"],
+            ["generate", "--K", "1", "--n", "3", "--t", "0:10000"],
+            ["generate", "--K", "1", "--n", "3", "--t", "0:0.01", "--validate",
+             "--samples", "100000000"],
+            ["generate", "--K", "1", "--n", "2", "--t", "0:0.01", "--off", "never.off",
+             "--off-segments", "100000000"],
+        ],
+        ids=["scan-tiny-step", "scan-huge-n", "scan-huge-grid", "generate-tiny-step",
+             "generate-long-range", "generate-huge-validation", "generate-huge-mesh"],
+    )
+    def test_row_cap_rejects_before_running(self, argv, no_run, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert f"over the cap of {cli.MAX_ROWS} rows" in err
 
     @pytest.mark.parametrize("t_value", [5, 0.5, ["0:1"], {"a": 1}])
     def test_non_string_t_in_config(self, t_value, tmp_path, capsys):
@@ -332,6 +385,171 @@ class TestConfig:
         code = cli.main(["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "3"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["verify"], {"signature": "foo"}),
+            (["scan", "--r", "1", "--n", "3", "--t", "0:1"], {"k": 5}),
+            (["verify"], {"mutate": "c4"}),
+            (["verify"], [1, 2]),
+            (["generate", "--n", "3", "--K", "1", "--t", "0:0.01"], {"sign_branch": True}),
+            (["verify"], {"config": "other.json"}),
+            (["verify"], {"func": "cmd_scan"}),
+            (["verify"], {"command": "scan"}),
+            (["scan", "--k", "2", "--r", "1", "--t", "0:1"], {"n": 3.0}),
+            (["scan", "--k", "2", "--r", "1", "--t", "0:1"], {"n": True}),
+            (["scan", "--k", "2", "--r", "1", "--n", "3", "--t", "0:1"], {"samples": None}),
+            (["generate", "--n", "3", "--t", "0:0.01"], {"K": 1e400}),
+            (["generate", "--n", "3", "--K", "1", "--t", "0:0.01"], {"validate": "yes"}),
+        ],
+        ids=["verify-signature", "scan-k-number", "verify-mutate-c4", "json-list",
+             "generate-sign-branch-bool", "key-config", "key-func", "key-command",
+             "scan-n-float", "scan-n-bool", "scan-samples-null", "generate-K-inf",
+             "generate-validate-string"],
+    )
+    def test_bad_config_exit_two_with_one_line(self, argv, payload, tmp_path, capsys):
+        code, out, err = run_with_config(argv, payload, tmp_path, capsys)
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        if isinstance(payload, dict) and set(payload) <= {"config", "func", "command"}:
+            assert "unknown config key" in err
+
+    @pytest.mark.parametrize(
+        "argv, payload, key, expected",
+        [
+            (["generate", "--n", "3", "--K", "1", "--t", "0:0.01"], {"validate": True},
+             "validated", True),
+            (["scan", "--k", "2", "--r", "1", "--n", "3", "--t", "0:1", "--samples", "2"],
+             {"points_per_leaf": 2}, "points_per_leaf", 2),
+            (["generate", "--n", "3", "--t", "0:0.01"], {"K": 1}, "K", 1.0),
+            (["convert"], {"k": 5, "r": 3}, "K", 4.0),
+            (["verify"], {"signature": "lorentzian"}, "signature", "lorentzian"),
+        ],
+        ids=["generate-validate", "scan-points-per-leaf", "generate-K", "convert", "verify"],
+    )
+    def test_config_value_is_used(self, argv, payload, key, expected, tmp_path, capsys):
+        code, out, _ = run_with_config(argv, payload, tmp_path, capsys)
+        assert code == 0
+        summary = json.loads(out)
+        summary = summary[0] if isinstance(summary, list) else summary
+        assert summary[key] == expected and type(summary[key]) is type(expected)
+
+    def test_config_real_echoes_like_its_flag(self, tmp_path, capsys):
+        argv = ["generate", "--n", "3", "--t", "0:0.01"]
+        _, from_flag, _ = run(argv + ["--K", "1"], capsys)
+        _, from_config, _ = run_with_config(argv, {"K": 1}, tmp_path, capsys)
+        assert from_config == from_flag and '"K": 1.0' in from_config
+
+    def test_config_off_segments(self, tmp_path, capsys):
+        off_path = tmp_path / "m.off"
+        code, _, _ = run_with_config(
+            ["generate", "--n", "2", "--K", "1", "--t", "0:0.01", "--off", str(off_path)],
+            {"off_segments": 5}, tmp_path, capsys,
+        )
+        assert code == 0
+        assert off_path.read_text().splitlines()[1] == f"{11 * 5} {10 * 5} 0"
+
+
+def _no_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+UNSET = object()  # the option is neither a flag nor in the config file
+
+# (good, bad) value pools per option.  Bad values are wrong JSON types, bools,
+# NaN/inf, out-of-range numbers, missing required options and requests the row
+# cap must refuse.  Spans and grids stay small so that every accepted run is
+# quick; a valid --mutate (exit 1 by design) and file outputs are left out.
+FUZZ_POOLS = {
+    "verify": {
+        "signature": (["riemannian", "lorentzian", "both", UNSET], ["foo", 1, True, None]),
+        "mutate": ([UNSET], ["c4", "", 3, True, ["c1"]]),
+    },
+    "scan": {
+        "k": (["cosh(1)", "2+0.1*t", "2"], ["cosh(", "1", 5, None, UNSET]),
+        "r": (["sinh(1)", "1", "0.5+0.1*t"], ["0", 2, True, UNSET]),
+        "n": ([2, 3, "3"], [0, 1.5, True, "x", 10**9, UNSET]),
+        "signature": (["riemannian", "lorentzian", UNSET], ["both", 0]),
+        "t": (["0:0.5", "0:1:0.25", "0:0", "1:0"],
+              ["1e308:-1e308", "0:1:1e-9", "0:1:1e-300", "nan:1", 5, ["0:1"], "a:b", UNSET]),
+        "samples": ([2, "3", UNSET], [0, -1, True, 1.5, 10**12]),
+        "points_per_leaf": ([1, "2", UNSET], [0, True, 10**9]),
+        "cmc_tol": ([1e-6, "1e-3", UNSET], ["nan", float("inf"), True, "abc", 10**400]),
+    },
+    "generate": {
+        "n": ([2, 3, "4"], [1, True, 2.0, 10**9, UNSET]),
+        "H": ([0, "0.5", -0.3, UNSET], ["inf", float("nan"), False]),
+        "K": ([1, "1.5"], [-1, 0, "nan", None, 10**400, UNSET]),
+        "r0": ([1, "0.8", UNSET], [0, -1, True]),
+        "r1": ([0, "0.3", UNSET], ["x", float("-inf")]),
+        "t": (["0:0.01", "0:0.02:0.005"],
+              ["0:0", "0:1:0.5", "1e308:-1e308", "0:1:1e-300", "0:10000", 0.5, UNSET]),
+        "signature": (["riemannian", "lorentzian", UNSET], ["both"]),
+        "sign_branch": ([-1, 1, "+1", UNSET], [0, True, "x"]),
+        "validate": ([True, False, UNSET], ["yes", 1]),
+        "samples": ([2, "5", UNSET], [0, True, 10**8]),
+        "off_segments": ([3, 16, UNSET], [2, True, 10**9]),
+    },
+    "convert": {
+        "k": ([5, "5"], [1, "nan", True, None, UNSET]),
+        "r": ([3, "3"], [0, float("inf"), "x", UNSET]),
+        "K": ([UNSET], [1, "1", -1, True, 10**400]),
+        "R": ([UNSET], [1, "0.5", 0, "inf", []]),
+    },
+}
+FUZZ_KEYS = ["bogus", "config", "func", "command", "points-per-leaf"]
+FUZZ_FILES = ["[1, 2]", "null", "3", '"scan"', "{", ""]
+
+
+@st.composite
+def cli_inputs(draw):
+    """A subcommand, its argv flags and the text of its --config file (or None).
+
+    At most two options (or the config file as a whole) take a bad value, so
+    that accepted runs stay common."""
+    command = draw(st.sampled_from(sorted(FUZZ_POOLS)))
+    pools = FUZZ_POOLS[command]
+    faulty = draw(st.sets(st.sampled_from(sorted(pools) + ["<key>", "<file>"]), max_size=2))
+    argv, config = [command], {}
+    for name, (good, bad) in pools.items():
+        value = draw(st.sampled_from(bad if name in faulty else good))
+        flag = "--" + name.replace("_", "-")
+        if value is UNSET:
+            continue
+        if draw(st.booleans()) and type(value) in (str, int, float):
+            argv.append(f"{flag}={value}")
+        elif draw(st.booleans()) and value is True and name == "validate":
+            argv.append(flag)
+        else:
+            config[name] = value
+    if "<key>" in faulty:
+        config[draw(st.sampled_from(FUZZ_KEYS))] = 1
+    if "<file>" in faulty:
+        return argv, draw(st.sampled_from(FUZZ_FILES))
+    return argv, json.dumps(config) if config else None
+
+
+class TestFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(cli_inputs())
+    def test_every_input_ends_documented(self, tmp_path_factory, inputs):
+        argv, config_text = inputs
+        if config_text is not None:
+            path = tmp_path_factory.getbasetemp() / "fuzz.json"
+            path.write_text(config_text)
+            argv = argv + ["--config", str(path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as stop:
+                code = stop.code
+        assert code in (0, 2, 3), (argv, config_text, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_no_constant)
 
 
 class TestDeterminism:

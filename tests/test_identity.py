@@ -12,7 +12,7 @@ from folicurve.identity import (
     CubicCoefficients,
     GeometrySignature,
     IdentityViolation,
-    InvalidJet,
+    InvalidSphere,
     LORENTZIAN,
     RIEMANNIAN,
     bracket_cubic,
@@ -230,7 +230,7 @@ class TestTheoremResiduals:
         assert c1_val == pytest.approx(8.0, rel=1e-12)
 
     def test_invalid_jet(self):
-        with pytest.raises(InvalidJet):
+        with pytest.raises(InvalidSphere):
             theorem_residuals(SimpleJet(1.0, 0.0, 1.0, 0.0), 1.0, 3, RIEMANNIAN)
 
     @given(

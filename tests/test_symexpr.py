@@ -441,6 +441,18 @@ class TestCanonicalCoefficients:
     def test_verified_polynomials_have_int_coefficients(self, name):
         assert all(type(c) is int for _, c in VERIFIED[name].terms())
 
+    def test_constants_hash_like_their_numbers(self):
+        assert len({ONE, 1}) == 1
+        assert hash(rational(1, 2)) == hash(Fraction(1, 2))
+        assert hash(ZERO) == hash(0) == hash(X - X)
+
+    @given(coeffs, sym_exprs())
+    def test_hash_agrees_with_equality(self, c, p):
+        constant = SymExpr({(0,) * len(Indeterminate): c})
+        assert constant == c and hash(constant) == hash(c)
+        if set(dict(p.terms())) - {(0,) * len(Indeterminate)}:
+            assert hash(p) == hash(frozenset(p.terms()))
+
 
 class TestTextForm:
     def test_golden_square(self):
