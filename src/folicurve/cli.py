@@ -8,7 +8,6 @@ sets the log level; data files never contain timestamps.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import functools
@@ -17,6 +16,7 @@ import logging
 import math
 import os
 import sys
+import types
 from typing import Any, Callable
 
 from . import exprlang, geometry, identity, profiles
@@ -90,10 +90,14 @@ def _t_range(flag: str, text, default_step: float | None = None) -> tuple:
     pieces = text.split(":")
     if len(pieces) not in (2, 3):
         raise ValueError(f"t-range must be 'a:b' or 'a:b:step', got {text!r}")
-    t0, t1 = float(pieces[0]), float(pieces[1])
+    try:
+        numbers = [float(piece) for piece in pieces]
+    except ValueError:
+        raise ValueError(f"{flag} bounds and step must be numbers, got {text!r}") from None
+    t0, t1 = numbers[:2]
     if not math.isfinite(t1 - t0):
         raise ValueError(f"t-range bounds and their difference must be finite, got {text!r}")
-    step = float(pieces[2]) if len(pieces) == 3 else default_step
+    step = numbers[2] if len(numbers) == 3 else default_step
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ValueError(f"t-range step must be finite and positive, got {text!r}")
     return t0, t1, step
@@ -125,7 +129,7 @@ def _mutated_bracket(sig: GeometrySignature, which: str) -> identity.CubicCoeffi
     return dataclasses.replace(cubic, **{which: getattr(cubic, which) - KAP * RHO ** 2})
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: types.SimpleNamespace) -> int:
     labels = ["riemannian", "lorentzian"] if args.signature == "both" else [args.signature]
     reports = []
     status = EXIT_OK
@@ -145,7 +149,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return status
 
 
-def cmd_scan(args: argparse.Namespace) -> int:
+def cmd_scan(args: types.SimpleNamespace) -> int:
     if _too_many("scan", leaves=args.samples, points=args.points_per_leaf, coordinates=args.n):
         return EXIT_INPUT
     try:
@@ -192,7 +196,7 @@ def _write_off(path: str, profile: profiles.RotationalProfile, segments: int) ->
                 handle.write(f"4 {base + j} {base + jn} {base + segments + jn} {base + segments + j}\n")
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: types.SimpleNamespace) -> int:
     t0, t1, step = args.t
     if args.off and args.n != 2:
         print("OFF export is defined for n = 2 only", file=sys.stderr)
@@ -255,7 +259,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
+def cmd_convert(args: types.SimpleNamespace) -> int:
     half_pair = (args.k is None) != (args.r is None) or (args.K is None) != (args.R is None)
     if half_pair or (args.k is None) == (args.K is None):
         print("supply exactly one pair: --k and --r, or --K and --R", file=sys.stderr)
@@ -320,23 +324,55 @@ def _commands() -> dict[str, tuple]:
     }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The argparse front end of the option tables; it collects raw strings only."""
-    parser = argparse.ArgumentParser(
-        prog="folicurve",
-        description="Curvature identities and rotational CMC profiles for "
-        "sphere-foliated hypersurfaces in hyperbolic product spaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, run, options) in _commands().items():
-        p_sub = sub.add_parser(command, help=help_text)
-        p_sub.set_defaults(run=run, options=options)
-        for name, convert, _, option_help in options:
-            switch = {"action": "store_const", "const": True} if convert is _switch else {}
-            p_sub.add_argument(_flag(name), help=option_help, **switch)
-        p_sub.add_argument("--config", help="JSON object of option values; flags win")
-    return parser
+_HELP = ("-h", "--help")
+_CONFIG = ("config", _text, None, "JSON object of option values; flags win")
+
+
+def _read_argv(commands: dict, argv: list[str]) -> tuple[str | None, dict | None]:
+    """The command and its raw {name: value}, read against the option table:
+    `--name value` (the value taken verbatim, even when it starts with "-") or
+    `--name=value`, a bare `--name` for a switch; the last occurrence wins.
+    -h/--help gives no values, and no command either before one is named."""
+    if argv[:1] and argv[0] in _HELP:
+        return None, None
+    if not argv or argv[0] not in commands:
+        got = repr(argv[0]) if argv else "nothing"
+        raise ValueError(f"expected a command ({', '.join(commands)}) or --help, got {got}")
+    command, tokens = argv[0], iter(argv[1:])
+    options = {_flag(name): (name, convert) for name, convert, *_ in commands[command][2] + (_CONFIG,)}
+    given = {}
+    for token in tokens:
+        if token in _HELP:
+            return command, None
+        flag, equals, value = token.partition("=")
+        if flag not in options:
+            raise ValueError(f"unknown option {flag!r} for {command}")
+        name, convert = options[flag]
+        if convert is _switch:
+            if equals:
+                raise ValueError(f"{flag} takes no value, got {token!r}")
+            value = True
+        elif not equals:
+            value = next(tokens, None)
+            if value is None:
+                raise ValueError(f"{flag} needs a value")
+        given[name] = value
+    return command, given
+
+
+def _help(commands: dict, command: str | None) -> str:
+    """The command list, or one command's options, from the option table."""
+    usage = f"usage: folicurve {command or 'COMMAND'} [--name value | --name=value ...]"
+    if command is None:
+        lines = [usage, ""] + [f"  {name:<10}{text}" for name, (text, *_) in commands.items()]
+        return "\n".join(lines + ["", "folicurve COMMAND --help lists the command's options."])
+    text, _, options = commands[command]
+    lines = [usage, text, ""]
+    for name, convert, default, option_help in options + (_CONFIG,):
+        flag = _flag(name) if convert is _switch else _flag(name) + " VALUE"
+        note = ("(required) " if default is REQUIRED else "") + (option_help or "")
+        lines.append(f"  {flag:<24}{note}".rstrip())
+    return "\n".join(lines)
 
 
 def _read_config(path: str | None, names) -> dict:
@@ -357,14 +393,22 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: the config file fills the options no flag set, every
     given value passes its converter, and the table's defaults fill the rest."""
     _setup_logging()
-    flags = vars(_parser().parse_args(argv))
-    command, run, options = flags.pop("command"), flags.pop("run"), flags.pop("options")
+    commands = _commands()
     try:
-        given = _read_config(flags.pop("config"), flags)
+        command, flags = _read_argv(commands, sys.argv[1:] if argv is None else argv)
+    except ValueError as err:
+        print(err, file=sys.stderr)
+        return EXIT_INPUT
+    if flags is None:
+        print(_help(commands, command))
+        return EXIT_OK
+    _, run, options = commands[command]
+    try:
+        given = _read_config(flags.pop("config", None), {name for name, *_ in options})
     except (OSError, ValueError, RecursionError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    given.update((name, value) for name, value in flags.items() if value is not None)
+    given.update(flags)
     try:
         settings = {name: convert(_flag(name), given[name])
                     for name, convert, *_ in options if name in given}
@@ -376,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(err, file=sys.stderr)
         return EXIT_INPUT
-    return run(argparse.Namespace(**settings))
+    return run(types.SimpleNamespace(**settings))
 
 
 if __name__ == "__main__":  # pragma: no cover

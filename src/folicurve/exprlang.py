@@ -499,83 +499,6 @@ def evaluate(e: Expr, t: float) -> float:
     return compile_exprs(e)(t)[0]
 
 
-# -- printing -------------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 2, 3, 4
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def _num_text(q: Fraction) -> str:
-    if q < 0:
-        # parenthesize synthesized negative literals so -2^2 cannot appear
-        return f"(-{_num_text(-q)})"
-    if q.denominator == 1:
-        return str(q.numerator)
-    # exact decimal when the denominator is 10-smooth; never reachable from
-    # parse otherwise (synthesized fractions print as a parenthesized quotient)
-    den = q.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den == 1:
-        shift = max(twos, fives)
-        scaled = q.numerator * 10 ** shift // q.denominator
-        digits = str(scaled).rjust(shift + 1, "0")
-        return digits[:-shift] + "." + digits[-shift:]
-    return f"({q.numerator}/{q.denominator})"
-
-
-def _exp_text(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator) if q >= 0 else f"({q.numerator})"
-    return f"({q.numerator}/{q.denominator})"
-
-
-def _wrap(e: Expr, minimum: int) -> str:
-    text = pretty(e)
-    return f"({text})" if _prec(e) < minimum else text
-
-
-def pretty(e: Expr) -> str:
-    """Render so that parse(pretty(parse(s))) == parse(s)."""
-    if isinstance(e, Num):
-        return _num_text(e.value)
-    if isinstance(e, TVar):
-        return "t"
-    if isinstance(e, Const):
-        return e.name
-    if isinstance(e, Call):
-        return f"{e.fn}({pretty(e.arg)})"
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _PREC_POW)
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_MUL)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_MUL)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_POW)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_ATOM)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{_exp_text(e.exponent)}"
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 @dataclass(frozen=True)
 class ProfileFunctions:
     """k(t), r(t) with symbolic first and second derivatives."""

@@ -86,20 +86,6 @@ def jet_B() -> SymExpr:
 
 
 @dataclass(frozen=True)
-class GradientVector:
-    """Half the metric gradient of f, block by block.
-
-    tangential_block is the shared radial factor of the first n-1 slots
-    (component i is x_i times it, carried with multiplicity nu-1);
-    normal_component sits in the x_n slot, vertical_component in the t slot.
-    """
-
-    tangential_block: SymExpr
-    normal_component: SymExpr
-    vertical_component: SymExpr
-
-
-@dataclass(frozen=True)
 class CubicCoefficients:
     """X^3, X^2, X coefficients of the bracket cubic equal to -nH*S^3."""
 
@@ -129,16 +115,6 @@ class VerificationReport:
                 "elapsed_ms": self.elapsed_ms,
             }
         )
-
-
-def build_gradient(sig: GeometrySignature) -> GradientVector:
-    """Apply the inverse product metric (x_n^2 on spatial slots, eps on t) to df."""
-    eps = sig.epsilon
-    return GradientVector(
-        tangential_block=rational(2) * X ** 2,
-        normal_component=rational(2) * X ** 2 * (X - KAP),
-        vertical_component=rational(-2 * eps) * jet_A(),
-    )
 
 
 def gradient_norm_sq(sig: GeometrySignature) -> SymExpr:

@@ -180,6 +180,18 @@ class TestBadInput:
             ["verify", "--signature", "foo"],
             ["generate", "--K", "1", "--n", "3", "--t", "0:0.1", "--sign-branch", "0"],
             ["convert", "--k", "5"],
+            SCAN[:-1] + ["a:b", "--n", "3"],
+            SCAN + ["--n", "3", "--samp", "3"],
+            SCAN + ["--n", "3", "--points", "2"],
+            GENERATE + ["--n", "3", "--val"],
+            GENERATE + ["--n", "3", "--validate=1"],
+            SCAN + ["--n"],
+            ["verify", "--bogus", "1"],
+            ["verify", "--signature"],
+            ["verify", "both"],
+            ["scan", "--k", "-h", "--r", "1", "--n", "3", "--t", "0:1"],
+            [],
+            ["bogus"],
         ],
         ids=[
             "scan-samples-negative", "scan-samples-zero", "scan-ppl-zero", "scan-ppl-negative",
@@ -188,6 +200,10 @@ class TestBadInput:
             "convert-k-nan", "convert-R-inf", "scan-large-center", "scan-overflow",
             "scan-degenerate-normal", "scan-t-width-overflow", "generate-t-width-overflow",
             "verify-signature-unknown", "generate-sign-branch-zero", "convert-half-pair",
+            "scan-t-not-numbers", "scan-prefix-samples", "scan-prefix-points",
+            "generate-prefix-validate", "generate-switch-with-value", "scan-missing-value",
+            "verify-unknown-flag", "verify-missing-value", "verify-positional",
+            "scan-k-dash-h-is-a-value", "no-command", "unknown-command",
         ],
     )
     def test_exit_two_with_one_line(self, argv, capsys):
@@ -210,6 +226,11 @@ class TestBadInput:
         assert out == ""
         assert len(err.strip().splitlines()) == 1
         assert err.startswith("t-range step 1e-308 is too small")
+
+    def test_t_range_not_numbers_names_option(self, capsys):
+        code, _, err = run(["scan", "--k", "2", "--r", "1", "--n", "3", "--t", "a:b"], capsys)
+        assert code == 2
+        assert err.startswith("--t ")
 
     @pytest.mark.parametrize("segments", ["0", "-3", "2"])
     def test_off_segments_below_three_write_no_mesh(self, segments, tmp_path, capsys):
@@ -276,6 +297,16 @@ class TestGenerate:
         with open(out_csv) as handle:
             header = handle.readline().strip()
         assert header == "t,r,r1,k,k1,K_check"
+
+    def test_negative_range_without_equals(self, tmp_path, capsys):
+        outputs = []
+        for t_flag in (["--t", "-0.01:0"], ["--t=-0.01:0"]):
+            out_csv = tmp_path / "profile.csv"
+            code, out, err = run(["generate", "--n", "3", "--K", "1", "--out-csv", str(out_csv)]
+                                 + t_flag, capsys)
+            assert code == 0 and err == ""
+            outputs.append((out, out_csv.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_negative_center_rejected(self, capsys):
         code, _, err = run(["generate", "--n", "3", "--K", "-1", "--t", "0:0.5"], capsys)
@@ -353,6 +384,22 @@ class TestConvert:
     def test_requires_exactly_one_pair(self, capsys):
         code, _, _ = run(["convert", "--k", "5", "--K", "4"], capsys)
         assert code == 2
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+    def test_command_list(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        assert all(command in out.split() for command in ("verify", "scan", "generate", "convert"))
+
+    @pytest.mark.parametrize("command", ["verify", "scan", "generate", "convert"])
+    def test_command_options(self, command, no_run, capsys):
+        code, out, err = run([command, "--help"], capsys)
+        assert code == 0 and err == ""
+        options = cli._commands()[command][2]
+        assert all("--" + name.replace("_", "-") in out.split() for name, *_ in options)
+        assert "--config" in out.split()
 
 
 class TestConfig:
@@ -459,20 +506,22 @@ def _no_constant(name):
 UNSET = object()  # the option is neither a flag nor in the config file
 
 # (good, bad) value pools per option.  Bad values are wrong JSON types, bools,
-# NaN/inf, out-of-range numbers, missing required options and requests the row
-# cap must refuse.  Spans and grids stay small so that every accepted run is
-# quick; a valid --mutate (exit 1 by design) and file outputs are left out.
+# NaN/inf, out-of-range numbers, missing required options, "-h" (a value after
+# its flag, never a request for help) and requests the row cap must refuse.
+# Good t-ranges include one that starts with "-".  Spans and grids stay small so
+# that every accepted run is quick; a valid --mutate (exit 1 by design) and file
+# outputs are left out.
 FUZZ_POOLS = {
     "verify": {
-        "signature": (["riemannian", "lorentzian", "both", UNSET], ["foo", 1, True, None]),
+        "signature": (["riemannian", "lorentzian", "both", UNSET], ["foo", 1, True, None, "-h"]),
         "mutate": ([UNSET], ["c4", "", 3, True, ["c1"]]),
     },
     "scan": {
-        "k": (["cosh(1)", "2+0.1*t", "2"], ["cosh(", "1", 5, None, UNSET]),
+        "k": (["cosh(1)", "2+0.1*t", "2"], ["cosh(", "1", 5, None, "-h", UNSET]),
         "r": (["sinh(1)", "1", "0.5+0.1*t"], ["0", 2, True, UNSET]),
         "n": ([2, 3, "3"], [0, 1.5, True, "x", 10**9, UNSET]),
         "signature": (["riemannian", "lorentzian", UNSET], ["both", 0]),
-        "t": (["0:0.5", "0:1:0.25", "0:0", "1:0"],
+        "t": (["0:0.5", "0:1:0.25", "0:0", "1:0", "-0.5:0"],
               ["1e308:-1e308", "0:1:1e-9", "0:1:1e-300", "nan:1", 5, ["0:1"], "a:b", UNSET]),
         "samples": ([2, "3", UNSET], [0, -1, True, 1.5, 10**12]),
         "points_per_leaf": ([1, "2", UNSET], [0, True, 10**9]),
@@ -484,8 +533,8 @@ FUZZ_POOLS = {
         "K": ([1, "1.5"], [-1, 0, "nan", None, 10**400, UNSET]),
         "r0": ([1, "0.8", UNSET], [0, -1, True]),
         "r1": ([0, "0.3", UNSET], ["x", float("-inf")]),
-        "t": (["0:0.01", "0:0.02:0.005"],
-              ["0:0", "0:1:0.5", "1e308:-1e308", "0:1:1e-300", "0:10000", 0.5, UNSET]),
+        "t": (["0:0.01", "0:0.02:0.005", "-0.01:0"],
+              ["0:0", "0:1:0.5", "1e308:-1e308", "0:1:1e-300", "0:10000", 0.5, "-h", UNSET]),
         "signature": (["riemannian", "lorentzian", UNSET], ["both"]),
         "sign_branch": ([-1, 1, "+1", UNSET], [0, True, "x"]),
         "validate": ([True, False, UNSET], ["yes", 1]),
@@ -500,6 +549,10 @@ FUZZ_POOLS = {
     },
 }
 FUZZ_KEYS = ["bogus", "config", "func", "command", "points-per-leaf"]
+# argv tails the reader must refuse: an unknown flag, prefixes of table names,
+# flags without their value, a switch given a value, a stray positional
+FUZZ_FLAGS = [["--bogus", "1"], ["--signat", "riemannian"], ["--samp", "3"], ["--n"],
+              ["--config"], ["--validate=1"], ["3"]]
 FUZZ_FILES = ["[1, 2]", "null", "3", '"scan"', "{", ""]
 
 
@@ -511,19 +564,23 @@ def cli_inputs(draw):
     that accepted runs stay common."""
     command = draw(st.sampled_from(sorted(FUZZ_POOLS)))
     pools = FUZZ_POOLS[command]
-    faulty = draw(st.sets(st.sampled_from(sorted(pools) + ["<key>", "<file>"]), max_size=2))
+    faulty = draw(st.sets(st.sampled_from(sorted(pools) + ["<key>", "<file>", "<argv>"]),
+                          max_size=2))
     argv, config = [command], {}
     for name, (good, bad) in pools.items():
         value = draw(st.sampled_from(bad if name in faulty else good))
         flag = "--" + name.replace("_", "-")
         if value is UNSET:
             continue
-        if draw(st.booleans()) and type(value) in (str, int, float):
-            argv.append(f"{flag}={value}")
+        form = draw(st.sampled_from(["--name=value", "--name value", "config"]))
+        if form != "config" and type(value) in (str, int, float):
+            argv += [f"{flag}={value}"] if form == "--name=value" else [flag, str(value)]
         elif draw(st.booleans()) and value is True and name == "validate":
             argv.append(flag)
         else:
             config[name] = value
+    if "<argv>" in faulty:
+        argv += draw(st.sampled_from(FUZZ_FLAGS))
     if "<key>" in faulty:
         config[draw(st.sampled_from(FUZZ_KEYS))] = 1
     if "<file>" in faulty:
@@ -539,15 +596,13 @@ class TestFuzz:
         if config_text is not None:
             path = tmp_path_factory.getbasetemp() / "fuzz.json"
             path.write_text(config_text)
-            argv = argv + ["--config", str(path)]
+            argv = argv[:1] + ["--config", str(path)] + argv[1:]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = cli.main(argv)
-            except SystemExit as stop:
-                code = stop.code
+            code = cli.main(argv)
         assert code in (0, 2, 3), (argv, config_text, err.getvalue())
         assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) <= 1, (argv, config_text, err.getvalue())
         if out.getvalue():
             json.loads(out.getvalue(), parse_constant=_no_constant)
 

@@ -28,7 +28,6 @@ from folicurve.exprlang import (
     differentiate,
     evaluate,
     parse,
-    pretty,
 )
 
 
@@ -162,37 +161,6 @@ class TestProperties:
         assume(d_sym is not None and abs(d_sym) < 1e3)
         d_fd = (samples[2] - samples[0]) / (2 * h)
         assert abs(d_fd - d_sym) <= 1e-3 * (1.0 + abs(d_sym))
-
-    @given(expressions)
-    @settings(max_examples=150, deadline=None)
-    def test_pretty_parse_fixpoint(self, e):
-        first = parse(pretty(e))
-        assert parse(pretty(first)) == first
-
-    @given(expressions)
-    @settings(max_examples=80, deadline=None)
-    def test_derivative_printable(self, e):
-        d = differentiate(e)
-        assert parse(pretty(parse(pretty(d)))) == parse(pretty(d))
-
-
-class TestConcreteFixpoints:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "cosh(t)",
-            "2 + 3*t^2",
-            "-t^2 + 4*t - 1",
-            "sqrt(1 + t^2) / (2 - t)",
-            "sinh(t)*cosh(t) - tanh(t/2)",
-            "exp(-t) * sin(2*t)",
-            "1.5 + 0.25*t",
-            "t^(1/2) + t^(-1)",
-        ],
-    )
-    def test_roundtrip(self, text):
-        ast = parse(text)
-        assert parse(pretty(ast)) == ast
 
 
 class TestProfileFunctions:

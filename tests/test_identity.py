@@ -16,7 +16,6 @@ from folicurve.identity import (
     LORENTZIAN,
     RIEMANNIAN,
     bracket_cubic,
-    build_gradient,
     gradient_norm_sq,
     jet_A,
     jet_B,
@@ -51,20 +50,6 @@ def substitute_cylinder(p: SymExpr) -> SymExpr:
     for ind in (Indeterminate.KAP1, Indeterminate.KAP2, Indeterminate.RHO1, Indeterminate.RHO2):
         p = p.substitute(ind, SymExpr())
     return p
-
-
-class TestGradient:
-    def test_vertical_components(self):
-        assert build_gradient(RIEMANNIAN).vertical_component == rational(-2) * jet_A()
-        assert build_gradient(LORENTZIAN).vertical_component == rational(2) * jet_A()
-
-    def test_normal_component(self):
-        for sig in BOTH:
-            assert build_gradient(sig).normal_component == rational(2) * X ** 2 * (X - KAP)
-
-    def test_tangential_block(self):
-        for sig in BOTH:
-            assert build_gradient(sig).tangential_block == rational(2) * X ** 2
 
 
 class TestNormSquared:
