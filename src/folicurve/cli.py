@@ -2,8 +2,13 @@
 generation, and center conversions.
 
 Exit codes: 0 success, 1 identity violation, 2 input/validation error,
-3 geometric inadmissibility.  Flags override --config values.  FOLICURVE_LOG
-sets the log level; data files never contain timestamps.
+3 geometric inadmissibility.  Flags override --config values; data files never
+contain timestamps.
+
+Every library failure is a ValueError (bad input or data) or an
+ArithmeticError (a numeric breakdown), so each stage below catches that pair
+and prints one stderr line with exit 2; an output file that cannot be written
+does the same, with stdout left empty.  Only IdentityViolation exits 1.
 """
 
 from __future__ import annotations
@@ -12,9 +17,7 @@ import contextlib
 import dataclasses
 import functools
 import json
-import logging
 import math
-import os
 import sys
 import types
 from typing import Any, Callable
@@ -31,14 +34,6 @@ EXIT_INADMISSIBLE = 3
 MAX_ROWS = 10**6  # rows a run may request; a scan row of n coordinates counts n times
 
 REQUIRED = object()  # the default of an option that has to be given
-
-log = logging.getLogger("folicurve")
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("FOLICURVE_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
-
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
@@ -161,8 +156,7 @@ def cmd_scan(args: types.SimpleNamespace) -> int:
     except exprlang.ParseError as err:
         print(f"expression error: {err}", file=sys.stderr)
         return EXIT_INPUT
-    except (exprlang.DomainError, geometry.InvalidSphere, geometry.NotOnLeaf,
-            geometry.DegenerateNormal, ArithmeticError, ValueError) as err:
+    except (ValueError, ArithmeticError) as err:
         print(f"invalid profile on range: {err}", file=sys.stderr)
         return EXIT_INPUT
     if args.out_csv:
@@ -174,7 +168,7 @@ def cmd_scan(args: types.SimpleNamespace) -> int:
     summary["cmc"] = report.max_dev is not None and report.max_dev < args.cmc_tol
     print(json.dumps(summary, indent=2))
     if report.mean_H is None:
-        log.warning("no admissible points in scan")
+        print("no admissible points in scan", file=sys.stderr)
         return EXIT_INADMISSIBLE
     return EXIT_OK
 
@@ -221,8 +215,7 @@ def cmd_generate(args: types.SimpleNamespace) -> int:
             sig=GeometrySignature.from_label(args.signature),
             sign_branch=args.sign_branch,
         )
-    except (ValueError, profiles.StepUnstable, profiles.NonSpacelike,
-            profiles.VanishingLeadCoefficient) as err:
+    except (ValueError, ArithmeticError) as err:
         print(f"integration rejected: {err}", file=sys.stderr)
         return EXIT_INPUT
     if args.out_csv:
@@ -246,7 +239,7 @@ def cmd_generate(args: types.SimpleNamespace) -> int:
     if args.validate:
         try:
             report = profiles.validate_profile(profile, samples=args.samples)
-        except profiles.ValidationFailed as err:
+        except (ValueError, ArithmeticError) as err:
             summary["validated"] = False
             print(json.dumps(summary, indent=2))
             print(f"validation failed: {err}", file=sys.stderr)
@@ -271,7 +264,7 @@ def cmd_convert(args: types.SimpleNamespace) -> int:
         else:
             center = geometry.HyperbolicCenter(K=args.K, R=args.R)
             k, r = geometry.hyperbolic_to_euclidean(center)
-    except geometry.InvalidSphere as err:
+    except (ValueError, ArithmeticError) as err:
         print(f"invalid sphere: {err}", file=sys.stderr)
         return EXIT_INPUT
     print(json.dumps({"k": k, "r": r, "K": center.K, "R": center.R}, indent=2))
@@ -392,7 +385,6 @@ def _read_config(path: str | None, names) -> dict:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand: the config file fills the options no flag set, every
     given value passes its converter, and the table's defaults fill the rest."""
-    _setup_logging()
     commands = _commands()
     try:
         command, flags = _read_argv(commands, sys.argv[1:] if argv is None else argv)
@@ -420,7 +412,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as err:
         print(err, file=sys.stderr)
         return EXIT_INPUT
-    return run(types.SimpleNamespace(**settings))
+    try:
+        return run(types.SimpleNamespace(**settings))
+    except OSError as err:  # outputs are written before the summary is printed
+        print(f"cannot write {err.filename or 'output'}: {err.strerror or err}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -27,7 +27,7 @@ from functools import cached_property
 from fractions import Fraction
 
 
-class ParseError(Exception):
+class ParseError(ValueError):
     def __init__(self, message: str, offset: int, expected: tuple[str, ...] = ()):
         detail = f"{message} at offset {offset}"
         if expected:
@@ -37,7 +37,7 @@ class ParseError(Exception):
         self.expected = expected
 
 
-class DomainError(Exception):
+class DomainError(ArithmeticError):
     """Evaluation left the expression's domain (log/sqrt/division)."""
 
 

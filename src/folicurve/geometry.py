@@ -36,20 +36,18 @@ POINTS_PER_LEAF = 8      # sample points per leaf of a scan, unless asked otherw
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class DegenerateNormal(Exception):
-    """S^2 is not positive: the normal direction is degenerate or non-spacelike."""
+class DegenerateNormal(ArithmeticError):
+    """S^2 is not positive: the normal direction is degenerate or non-spacelike
+    (a null gradient is the Lorentzian case S^2 = 0)."""
 
 
-class NotOnLeaf(Exception):
+class NotOnLeaf(ValueError):
     """Point fails the leaf equation beyond tolerance."""
 
 
-class NullGradient(Exception):
-    """The gradient is null: neither spacelike nor timelike."""
-
-
-class StepTooLarge(Exception):
-    """Finite-difference truncation estimate exceeds the requested tolerance."""
+class StepUnstable(ArithmeticError):
+    """A step's error estimate (finite-difference truncation, or RK4 step
+    doubling) exceeds its limit."""
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ def is_spacelike(p: SurfacePoint, jet: FoliationJet) -> bool:
     a = vertical_slot(p, jet)
     q = a * a - (p.xn * jet.r) ** 2
     if abs(q) <= DEGENERACY_TOL:
-        raise NullGradient(f"null gradient at x_n={p.xn}, t={p.t}")
+        raise DegenerateNormal(f"null gradient at x_n={p.xn}, t={p.t}")
     return q > 0
 
 
@@ -217,7 +215,7 @@ def mean_curvature_fd(
         fine = divergence(h / 2)
         estimate = abs(div - fine) / 3.0  # Richardson estimate for order 2
         if estimate > tol:
-            raise StepTooLarge(f"truncation estimate {estimate} exceeds {tol} at h={h}")
+            raise StepUnstable(f"truncation estimate {estimate} exceeds {tol} at h={h}")
     return -div / n
 
 
@@ -337,7 +335,7 @@ def constancy_scan(
                 continue
             try:
                 spacelike = is_spacelike(point, jet)
-            except NullGradient:
+            except DegenerateNormal:
                 spacelike = False
             if spacelike:
                 h_val = mean_curvature_at(point, jet, n, sig)

@@ -47,7 +47,7 @@ class IdentityViolation(Exception):
         self.report = report
 
 
-class InvalidSphere(Exception):
+class InvalidSphere(ValueError):
     """Sphere data violates k > r > 0 (leaf leaves the open half-space)."""
 
 

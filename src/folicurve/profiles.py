@@ -20,8 +20,9 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .geometry import constancy_scan, ScanReport
-from .identity import GeometrySignature, RIEMANNIAN, bracket_cubic, verify_squared_identity
+from .geometry import DegenerateNormal, ScanReport, StepUnstable, constancy_scan
+from .identity import (GeometrySignature, InvalidSphere, RIEMANNIAN, bracket_cubic,
+                       verify_squared_identity)
 from .symexpr import KAP1, RHO, RHO1, RHO2, Indeterminate, SymExpr
 
 R_MIN = 1e-6
@@ -29,19 +30,7 @@ STEP_ERROR_LIMIT = 1e-8
 DKDT_LIMIT = 1e-8
 
 
-class NonSpacelike(Exception):
-    """Lorentzian admissibility factor k'^2 - r^2 is not positive."""
-
-
-class VanishingLeadCoefficient(Exception):
-    """The k''-coefficient of the cubic degenerates (r -> 0)."""
-
-
-class StepUnstable(Exception):
-    """Step-doubling error estimate exceeded the per-step limit."""
-
-
-class ValidationFailed(Exception):
+class ValidationFailed(ValueError):
     """Closed-loop validation found a leaf off the target curvature."""
 
 
@@ -114,12 +103,12 @@ def cmc_rhs(
     if sign_branch not in (-1, 1):
         raise ValueError("sign_branch must be +1 or -1")
     if r <= 1e-12:
-        raise VanishingLeadCoefficient(f"r = {r}")
+        raise InvalidSphere(f"r = {r}")
     k = math.hypot(K, r)
     k1 = r * r1 / k
     factor = admissibility_factor(r, k1, sig)
     if sig is not RIEMANNIAN and factor <= 0:
-        raise NonSpacelike(f"k'^2 - r^2 = {factor} at r={r}, r'={r1}")
+        raise DegenerateNormal(f"k'^2 - r^2 = {factor} at r={r}, r'={r1}")
     lead_expr, rest_expr = _ode_form(sig)
     bindings = {
         Indeterminate.KAP: k,
@@ -130,7 +119,7 @@ def cmc_rhs(
     }
     lead = lead_expr.eval_numeric(bindings)  # = -r^2
     if abs(lead) < 1e-24:
-        raise VanishingLeadCoefficient(f"lead coefficient {lead} at r={r}")
+        raise InvalidSphere(f"lead coefficient {lead} at r={r}")
     rest = rest_expr.eval_numeric(bindings)
     target = sign_branch * n * H * factor * math.sqrt(factor)
     k2 = (target - rest) / lead
@@ -257,7 +246,7 @@ def integrate_profile(
             full = rk4(y, h, k1)
             mid = rk4(y, h / 2, k1)
             half = rk4(mid, h / 2, rhs(mid))
-        except (NonSpacelike, VanishingLeadCoefficient) as stop:
+        except (DegenerateNormal, InvalidSphere) as stop:
             halted = f"admissibility: {stop}"
             break
         estimate = max(abs(full[0] - half[0]), abs(full[1] - half[1])) / 15.0

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from folicurve import cli, geometry, profiles
+from folicurve import cli, exprlang, geometry, identity, profiles
 
 
 def run(argv, capsys):
@@ -87,13 +88,25 @@ class TestScan:
         assert summary["max_dev"] > 1e-3
 
     def test_lorentzian_cylinder_inadmissible(self, capsys):
-        code, out, _ = run(
+        code, out, err = run(
             ["scan", "--signature", "lorentzian", "--k", "cosh(1)", "--r", "sinh(1)",
              "--n", "3", "--t", "0:1", "--samples", "5"],
             capsys,
         )
         assert code == 3
         assert json.loads(out)["spacelike_fraction"] == 0.0
+        assert err == "no admissible points in scan\n"
+
+    def test_message_reaches_each_calls_stderr(self):
+        argv = ["scan", "--signature", "lorentzian", "--k", "cosh(1)", "--r", "sinh(1)",
+                "--n", "3", "--t", "0:1", "--samples", "2"]
+        handlers = list(logging.getLogger().handlers)
+        for _ in range(2):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert cli.main(argv) == 3
+            assert err.getvalue() == "no admissible points in scan\n"
+        assert logging.getLogger().handlers == handlers
 
     def test_parse_error_exit_two(self, capsys):
         code, _, err = run(
@@ -153,6 +166,9 @@ class TestTimeRange:
 class TestBadInput:
     SCAN = ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--t", "0:1"]
     GENERATE = ["generate", "--K", "1", "--t", "0:0.1"]
+    # a tiny rotational profile whose closed-loop rescan breaks down
+    RESCAN = ["generate", "--n", "2", "--K", "0.001", "--r0", "0.0001", "--t", "0:0.01",
+              "--validate", "--samples", "5"]
 
     @pytest.mark.parametrize(
         "argv",
@@ -180,6 +196,14 @@ class TestBadInput:
             ["verify", "--signature", "foo"],
             ["generate", "--K", "1", "--n", "3", "--t", "0:0.1", "--sign-branch", "0"],
             ["convert", "--k", "5"],
+            ["convert", "--K", "1", "--R", "1000"],
+            RESCAN + ["--r1", "0.5", "--H", "2"],
+            SCAN + ["--n", "3", "--samples", "2", "--out-csv", "/nonexistent/x.csv"],
+            SCAN + ["--n", "3", "--samples", "2", "--out-json", "/nonexistent/x.json"],
+            ["generate", "--n", "2", "--K", "1", "--t", "0:0.01", "--off", "/nonexistent/m.off"],
+            pytest.param(SCAN + ["--n", "3", "--samples", "2", "--out-csv", "/dev/full"],
+                         marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
+                                                  reason="needs a full device")),
             SCAN[:-1] + ["a:b", "--n", "3"],
             SCAN + ["--n", "3", "--samp", "3"],
             SCAN + ["--n", "3", "--points", "2"],
@@ -200,6 +224,8 @@ class TestBadInput:
             "convert-k-nan", "convert-R-inf", "scan-large-center", "scan-overflow",
             "scan-degenerate-normal", "scan-t-width-overflow", "generate-t-width-overflow",
             "verify-signature-unknown", "generate-sign-branch-zero", "convert-half-pair",
+            "convert-R-overflow", "generate-integration-overflow", "scan-csv-unwritable",
+            "scan-json-unwritable", "generate-off-unwritable", "scan-csv-device-full",
             "scan-t-not-numbers", "scan-prefix-samples", "scan-prefix-points",
             "generate-prefix-validate", "generate-switch-with-value", "scan-missing-value",
             "verify-unknown-flag", "verify-missing-value", "verify-positional",
@@ -211,6 +237,24 @@ class TestBadInput:
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("extra", [[], ["--r1", "0.5", "--H", "50"]],
+                             ids=["degenerate-normal", "invalid-sphere"])
+    def test_rescan_failure_is_validation_failure(self, extra, capsys):
+        code, out, err = run(self.RESCAN + extra, capsys)
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and err.startswith("validation failed:")
+        assert json.loads(out, parse_constant=_no_constant)["validated"] is False
+
+    def test_every_library_failure_is_value_or_arithmetic_error(self):
+        classes = [value for module in (exprlang, geometry, identity, profiles)
+                   for value in vars(module).values()
+                   if isinstance(value, type) and issubclass(value, BaseException)
+                   and value.__module__ == module.__name__]
+        assert len(classes) == 8
+        for cls in classes:
+            if cls is not identity.IdentityViolation:
+                assert issubclass(cls, (ValueError, ArithmeticError)), cls
 
     def test_overflow_message(self, capsys):
         code, _, err = run(
@@ -529,10 +573,10 @@ FUZZ_POOLS = {
     },
     "generate": {
         "n": ([2, 3, "4"], [1, True, 2.0, 10**9, UNSET]),
-        "H": ([0, "0.5", -0.3, UNSET], ["inf", float("nan"), False]),
-        "K": ([1, "1.5"], [-1, 0, "nan", None, 10**400, UNSET]),
-        "r0": ([1, "0.8", UNSET], [0, -1, True]),
-        "r1": ([0, "0.3", UNSET], ["x", float("-inf")]),
+        "H": ([0, "0.5", -0.3, "2", UNSET], ["inf", float("nan"), False]),
+        "K": ([1, "1.5", "0.001"], [-1, 0, "nan", None, 10**400, UNSET]),
+        "r0": ([1, "0.8", "0.0001", UNSET], [0, -1, True]),
+        "r1": ([0, "0.3", "0.5", UNSET], ["x", float("-inf")]),
         "t": (["0:0.01", "0:0.02:0.005", "-0.01:0"],
               ["0:0", "0:1:0.5", "1e308:-1e308", "0:1:1e-300", "0:10000", 0.5, "-h", UNSET]),
         "signature": (["riemannian", "lorentzian", UNSET], ["both"]),

@@ -11,13 +11,13 @@ from folicurve import profiles
 from folicurve.geometry import constancy_scan
 from folicurve.identity import LORENTZIAN, RIEMANNIAN, bracket_cubic
 from folicurve.profiles import (
+    DegenerateNormal,
     HermiteProfile,
-    NonSpacelike,
+    InvalidSphere,
     ProfileRow,
     RotationalProfile,
     StepUnstable,
     ValidationFailed,
-    VanishingLeadCoefficient,
     admissibility_factor,
     apply_rotational_constraint,
     cmc_rhs,
@@ -93,11 +93,11 @@ class TestCmcRhs:
         assert plus == pytest.approx(minus, rel=1e-14)
 
     def test_lorentzian_requires_spacelike_factor(self):
-        with pytest.raises(NonSpacelike):
+        with pytest.raises(DegenerateNormal):
             cmc_rhs(1.0, 0.0, 1.0, 0.0, 3, LORENTZIAN)
 
     def test_vanishing_lead(self):
-        with pytest.raises(VanishingLeadCoefficient):
+        with pytest.raises(InvalidSphere):
             cmc_rhs(1e-13, 0.0, 1.0, 0.0, 3, RIEMANNIAN)
 
     def test_positive_K_required(self):
