@@ -31,7 +31,7 @@ EXIT_IDENTITY = 1
 EXIT_INPUT = 2
 EXIT_INADMISSIBLE = 3
 
-MAX_ROWS = 10**6  # rows a run may request; a scan row of n coordinates counts n times
+MAX_ROWS = 10**6  # rows a run may request
 
 REQUIRED = object()  # the default of an option that has to be given
 
@@ -145,7 +145,7 @@ def cmd_verify(args: types.SimpleNamespace) -> int:
 
 
 def cmd_scan(args: types.SimpleNamespace) -> int:
-    if _too_many("scan", leaves=args.samples, points=args.points_per_leaf, coordinates=args.n):
+    if _too_many("scan", leaves=args.samples, points=args.points_per_leaf):
         return EXIT_INPUT
     try:
         profile = exprlang.ProfileFunctions.from_strings(args.k, args.r)
@@ -200,7 +200,7 @@ def cmd_generate(args: types.SimpleNamespace) -> int:
         return EXIT_INPUT
     rows = math.ceil(steps) + 1
     if (args.validate and _too_many("generate --validate", leaves=max(args.samples, rows),
-                                    points=geometry.POINTS_PER_LEAF, coordinates=args.n)
+                                    points=geometry.POINTS_PER_LEAF)
             or args.off and _too_many("generate --off", rows=rows, segments=args.off_segments)):
         return EXIT_INPUT
     try:

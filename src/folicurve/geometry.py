@@ -70,6 +70,9 @@ class FoliationJet:
     def require_valid(self) -> None:
         if not (self.k > self.r > 0):
             raise InvalidSphere(f"need k > r > 0 at t={self.t}, got k={self.k}, r={self.r}")
+        jet = (self.k, self.k1, self.k2, self.r, self.r1, self.r2)
+        if not all(map(math.isfinite, jet)):
+            raise InvalidSphere(f"need a finite (k, k', k'', r, r', r'') at t={self.t}, got {jet}")
 
     def bindings(self, n: int) -> dict:
         return {
@@ -91,34 +94,37 @@ class HyperbolicCenter:
 
 @dataclass(frozen=True)
 class SurfacePoint:
-    x: tuple[float, ...]
-    t: float
+    """A point at height t as x1 = |(x_1, ..., x_{n-1})| and x_n: every quantity
+    computed here is invariant under rotations of the tangential coordinates."""
 
-    @property
-    def xn(self) -> float:
-        return self.x[-1]
+    x1: float
+    xn: float
+    t: float
 
 
 def euclidean_to_hyperbolic(k: float, r: float) -> HyperbolicCenter:
     """K = sqrt(k^2 - r^2), R = ln((k+r)/(k-r)) / 2."""
     if r <= 0 or k <= r:
         raise InvalidSphere(f"need k > r > 0, got k={k}, r={r}")
-    return HyperbolicCenter(
-        K=math.sqrt(k * k - r * r),
-        R=0.5 * math.log((k + r) / (k - r)),
-    )
+    K, R = math.sqrt(k * k - r * r), 0.5 * math.log((k + r) / (k - r))
+    if not (0 < K < math.inf and 0 < R < math.inf):
+        raise InvalidSphere(f"k={k}, r={r} give K={K}, R={R}: not finite positive floats")
+    return HyperbolicCenter(K=K, R=R)
 
 
 def hyperbolic_to_euclidean(center: HyperbolicCenter) -> tuple[float, float]:
     """Inverse conversion: k = K cosh R, r = K sinh R."""
     if center.K <= 0 or center.R <= 0:
         raise InvalidSphere(f"need K > 0 and R > 0, got K={center.K}, R={center.R}")
-    return center.K * math.cosh(center.R), center.K * math.sinh(center.R)
+    k, r = center.K * math.cosh(center.R), center.K * math.sinh(center.R)
+    if not (0 < k < math.inf and 0 < r < math.inf):
+        raise InvalidSphere(f"K={center.K}, R={center.R} give k={k}, r={r}: "
+                            "not finite positive floats")
+    return k, r
 
 
 def leaf_residual(p: SurfacePoint, jet: FoliationJet) -> float:
-    tangential = sum(c * c for c in p.x[:-1])
-    return tangential + (p.xn - jet.k) ** 2 - jet.r ** 2
+    return p.x1 * p.x1 + (p.xn - jet.k) ** 2 - jet.r ** 2
 
 
 def _require_on_leaf(p: SurfacePoint, jet: FoliationJet) -> None:
@@ -202,7 +208,7 @@ def mean_curvature_fd(
             weight = xn ** (-n)
             return [weight * u / norm for u in up]
 
-        base = list(p.x) + [p.t]
+        base = [p.x1] + [0.0] * (n - 2) + [p.xn, p.t]
         total = 0.0
         for m in range(n + 1):
             yp = list(base); yp[m] += step
@@ -220,20 +226,17 @@ def mean_curvature_fd(
 
 
 def leaf_points(jet: FoliationJet, n: int, count: int) -> list[SurfacePoint]:
-    """Deterministic low-discrepancy sample of the leaf sphere.
-
-    Golden-ratio angles set x_n = k + r cos(theta); the remaining radius goes
-    into x_1 (rotations in the tangential coordinates are isometries, so this
-    loses nothing).
-    """
+    """Deterministic low-discrepancy sample of the leaf sphere: golden-ratio
+    angles set x_n = k + r cos(theta) and x1 = r sin(theta), the same for any n."""
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
     points = []
     for j in range(count):
         u = math.fmod((j + 0.5) * _GOLDEN, 1.0)
         theta = math.pi * u
         xn = jet.k + jet.r * math.cos(theta)
         x1 = jet.r * math.sin(theta)
-        coords = (x1,) + (0.0,) * (n - 2) + (xn,)
-        points.append(SurfacePoint(x=coords, t=jet.t))
+        points.append(SurfacePoint(x1=x1, xn=xn, t=jet.t))
     return points
 
 
@@ -321,29 +324,32 @@ def constancy_scan(
     spacelike_count = 0
     total_points = 0
 
-    for t in ts:
-        jet = FoliationJet.from_profile(profile, t)
-        jet.require_valid()
-        dkdt = dKdt_of_jet(jet)
-        max_dkdt = max(max_dkdt, abs(dkdt))
-        for point in leaf_points(jet, n, points_per_leaf):
-            total_points += 1
-            if sig is RIEMANNIAN:
-                h_val = mean_curvature_at(point, jet, n, sig)
-                rows.append(ScanRow(t, point.xn, h_val, dkdt, None))
-                values.append(h_val)
-                continue
-            try:
-                spacelike = is_spacelike(point, jet)
-            except DegenerateNormal:
-                spacelike = False
-            if spacelike:
-                h_val = mean_curvature_at(point, jet, n, sig)
-                values.append(h_val)
-                spacelike_count += 1
-                rows.append(ScanRow(t, point.xn, h_val, dkdt, True))
-            else:
-                rows.append(ScanRow(t, point.xn, None, dkdt, False))
+    try:
+        for t in ts:
+            jet = FoliationJet.from_profile(profile, t)
+            jet.require_valid()
+            dkdt = dKdt_of_jet(jet)
+            max_dkdt = max(max_dkdt, abs(dkdt))
+            for point in leaf_points(jet, n, points_per_leaf):
+                total_points += 1
+                if sig is RIEMANNIAN:
+                    h_val = mean_curvature_at(point, jet, n, sig)
+                    rows.append(ScanRow(t, point.xn, h_val, dkdt, None))
+                    values.append(h_val)
+                    continue
+                try:
+                    spacelike = is_spacelike(point, jet)
+                except DegenerateNormal:
+                    spacelike = False
+                if spacelike:
+                    h_val = mean_curvature_at(point, jet, n, sig)
+                    values.append(h_val)
+                    spacelike_count += 1
+                    rows.append(ScanRow(t, point.xn, h_val, dkdt, True))
+                else:
+                    rows.append(ScanRow(t, point.xn, None, dkdt, False))
+    except OverflowError as err:
+        raise OverflowError(f"float overflow on the leaf at t={t}") from err
 
     mean_h = sum(values) / len(values) if values else None
     max_dev = max(abs(v - mean_h) for v in values) if values else None

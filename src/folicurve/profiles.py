@@ -146,14 +146,6 @@ class RotationalProfile:
     rows: list[ProfileRow] = field(repr=False)
     halted: str | None = None
 
-    @property
-    def t_start(self) -> float:
-        return self.rows[0].t
-
-    @property
-    def t_end(self) -> float:
-        return self.rows[-1].t
-
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as handle:
             writer = csv.writer(handle)
@@ -249,6 +241,8 @@ def integrate_profile(
         except (DegenerateNormal, InvalidSphere) as stop:
             halted = f"admissibility: {stop}"
             break
+        except OverflowError as err:
+            raise OverflowError(f"float overflow in the profile ODE at t={t}") from err
         estimate = max(abs(full[0] - half[0]), abs(full[1] - half[1])) / 15.0
         if estimate > STEP_ERROR_LIMIT:
             raise StepUnstable(f"local error estimate {estimate} at t={t}")

@@ -158,7 +158,7 @@ def test_criterion_05_cylinder_curvature_and_fd_oracle():
         u = rng.uniform(0.02, 0.98)
         xn = jet.k + jet.r * math.cos(math.pi * u)
         x1 = math.sqrt(max(jet.r ** 2 - (xn - jet.k) ** 2, 0.0))
-        point = SurfacePoint(x=(x1,) + (0.0,) * (n - 2) + (xn,), t=0.0)
+        point = SurfacePoint(x1=x1, xn=xn, t=0.0)
         gap = abs(
             mean_curvature_fd(point, profile, n, RIEMANNIAN, h=1e-4)
             - mean_curvature_at(point, jet, n, RIEMANNIAN)
@@ -230,7 +230,7 @@ def test_criterion_08_lorentzian_spacelike_gate():
         if abs(q) < 1e-12:
             continue
         probes += 1
-        point = SurfacePoint(x=(x1, 0.0, xn), t=0.0)
+        point = SurfacePoint(x1=x1, xn=xn, t=0.0)
         try:
             mean_curvature_at(point, jet, 3, LORENTZIAN)
             accepted = True

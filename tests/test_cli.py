@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -137,6 +138,15 @@ class TestScan:
         assert code == 0
         assert json.loads(out)["leaves"] == 5
 
+    def test_huge_dimension_scans(self, capsys):
+        # a scan point is (x1, x_n) whatever n is, so its cost does not grow with n
+        n = 1000000000
+        code, out, err = run(
+            ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", str(n), "--t", "0:1"], capsys
+        )
+        assert code == 0 and err == ""
+        assert abs(json.loads(out)["mean_H"] + (n - 1) / (n * math.tanh(1.0))) <= 1e-9
+
 
 class TestTimeRange:
     @pytest.mark.parametrize(
@@ -161,6 +171,18 @@ class TestTimeRange:
         )
         assert code == 0
         assert json.loads(out)["leaves"] == 1
+
+
+# inputs whose float arithmetic overflows: one stderr line that names t, exit 2
+OVERFLOWS = [
+    ["generate", "--n", "2", "--K", "0.001", "--r0", "0.0001", "--r1", "0.5", "--H", "2",
+     "--t", "0:0.01"],
+    ["generate", "--n", "3", "--K", "1", "--H", "1e300", "--t", "0:0.01"],
+    ["scan", "--k", "10^150", "--r", "10^149", "--n", "3", "--t", "0:1", "--samples", "2"],
+]
+OVERFLOW_IDS = ["generate-ode-overflow", "generate-huge-H", "scan-kernel-overflow"]
+SCAN_INFINITE_CENTER = ["scan", "--k", "10^200*10^200", "--r", "1", "--n", "3", "--t", "0:1",
+                        "--samples", "2"]
 
 
 class TestBadInput:
@@ -216,6 +238,11 @@ class TestBadInput:
             ["scan", "--k", "-h", "--r", "1", "--n", "3", "--t", "0:1"],
             [],
             ["bogus"],
+            SCAN_INFINITE_CENTER,
+            ["convert", "--k", "1.7e308", "--r", "1e308"],
+            ["convert", "--K", "1e306", "--R", "10"],
+            ["convert", "--k", "1e-320", "--r", "5e-321"],
+            *OVERFLOWS,
         ],
         ids=[
             "scan-samples-negative", "scan-samples-zero", "scan-ppl-zero", "scan-ppl-negative",
@@ -230,6 +257,8 @@ class TestBadInput:
             "generate-prefix-validate", "generate-switch-with-value", "scan-missing-value",
             "verify-unknown-flag", "verify-missing-value", "verify-positional",
             "scan-k-dash-h-is-a-value", "no-command", "unknown-command",
+            "scan-infinite-center", "convert-K-nan", "convert-k-overflow", "convert-K-underflow",
+            *OVERFLOW_IDS,
         ],
     )
     def test_exit_two_with_one_line(self, argv, capsys):
@@ -264,6 +293,11 @@ class TestBadInput:
         assert code == 2
         assert err.startswith("invalid profile on range:")
 
+    @pytest.mark.parametrize("argv", OVERFLOWS, ids=OVERFLOW_IDS)
+    def test_float_overflow_names_t(self, argv, capsys):
+        _, _, err = run(argv, capsys)
+        assert "float overflow" in err and "t=" in err
+
     def test_leaf_count_overflow(self, capsys):
         code, out, err = run(["scan", "--k", "2", "--r", "1", "--n", "3", "--t", "0:1e308:1e-308"], capsys)
         assert code == 2
@@ -294,7 +328,6 @@ class TestBadInput:
         "argv",
         [
             ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "3", "--t", "0:1:1e-9"],
-            ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "1000000000", "--t", "0:1"],
             ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "3", "--t", "0:1",
              "--samples", "1000000", "--points-per-leaf", "1000000"],
             ["generate", "--K", "1", "--n", "3", "--t", "0:1:1e-300"],
@@ -304,7 +337,7 @@ class TestBadInput:
             ["generate", "--K", "1", "--n", "2", "--t", "0:0.01", "--off", "never.off",
              "--off-segments", "100000000"],
         ],
-        ids=["scan-tiny-step", "scan-huge-n", "scan-huge-grid", "generate-tiny-step",
+        ids=["scan-tiny-step", "scan-huge-grid", "generate-tiny-step",
              "generate-long-range", "generate-huge-validation", "generate-huge-mesh"],
     )
     def test_row_cap_rejects_before_running(self, argv, no_run, capsys):
@@ -561,9 +594,9 @@ FUZZ_POOLS = {
         "mutate": ([UNSET], ["c4", "", 3, True, ["c1"]]),
     },
     "scan": {
-        "k": (["cosh(1)", "2+0.1*t", "2"], ["cosh(", "1", 5, None, "-h", UNSET]),
+        "k": (["cosh(1)", "2+0.1*t", "2"], ["cosh(", "1", 5, None, "-h", "10^200*10^200", UNSET]),
         "r": (["sinh(1)", "1", "0.5+0.1*t"], ["0", 2, True, UNSET]),
-        "n": ([2, 3, "3"], [0, 1.5, True, "x", 10**9, UNSET]),
+        "n": ([2, 3, "3", 10**9], [0, 1.5, True, "x", UNSET]),
         "signature": (["riemannian", "lorentzian", UNSET], ["both", 0]),
         "t": (["0:0.5", "0:1:0.25", "0:0", "1:0", "-0.5:0"],
               ["1e308:-1e308", "0:1:1e-9", "0:1:1e-300", "nan:1", 5, ["0:1"], "a:b", UNSET]),
@@ -586,10 +619,10 @@ FUZZ_POOLS = {
         "off_segments": ([3, 16, UNSET], [2, True, 10**9]),
     },
     "convert": {
-        "k": ([5, "5"], [1, "nan", True, None, UNSET]),
-        "r": ([3, "3"], [0, float("inf"), "x", UNSET]),
-        "K": ([UNSET], [1, "1", -1, True, 10**400]),
-        "R": ([UNSET], [1, "0.5", 0, "inf", []]),
+        "k": ([5, "5"], [1, "nan", True, None, "1.7e308", 1e-320, UNSET]),
+        "r": ([3, "3"], [0, float("inf"), "x", 1e308, "5e-321", UNSET]),
+        "K": ([UNSET], [1, "1", -1, True, 10**400, "1e306"]),
+        "R": ([UNSET], [1, "0.5", 0, "inf", [], 10]),
     },
 }
 FUZZ_KEYS = ["bogus", "config", "func", "command", "points-per-leaf"]

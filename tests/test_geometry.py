@@ -40,10 +40,9 @@ def cylinder_jet(R: float = 1.0, K: float = 1.0) -> FoliationJet:
                         r=K * math.sinh(R), r1=0.0, r2=0.0)
 
 
-def point_at(jet: FoliationJet, xn: float, n: int = 3) -> SurfacePoint:
+def point_at(jet: FoliationJet, xn: float) -> SurfacePoint:
     tangential_sq = jet.r ** 2 - (xn - jet.k) ** 2
-    coords = (math.sqrt(tangential_sq),) + (0.0,) * (n - 2) + (xn,)
-    return SurfacePoint(x=coords, t=jet.t)
+    return SurfacePoint(x1=math.sqrt(tangential_sq), xn=xn, t=jet.t)
 
 
 class TestConversions:
@@ -126,12 +125,12 @@ class TestMeanCurvature:
     def test_not_on_leaf(self):
         jet = cylinder_jet()
         with pytest.raises(NotOnLeaf):
-            mean_curvature_at(SurfacePoint(x=(0.5, 0.0, jet.k), t=0.0), jet, 3, RIEMANNIAN)
+            mean_curvature_at(SurfacePoint(x1=0.5, xn=jet.k, t=0.0), jet, 3, RIEMANNIAN)
 
     def test_point_near_unit_leaf_not_on_leaf(self):
         jet = FoliationJet(t=0.0, k=2.0, k1=0.0, k2=0.0, r=1.0, r1=0.0, r2=0.0)
         point = point_at(jet, jet.k + 0.5)
-        off = SurfacePoint(x=(point.x[0] + 1e-6,) + point.x[1:], t=0.0)
+        off = SurfacePoint(x1=point.x1 + 1e-6, xn=point.xn, t=0.0)
         assert mean_curvature_at(point, jet, 3, RIEMANNIAN)
         with pytest.raises(NotOnLeaf):
             mean_curvature_at(off, jet, 3, RIEMANNIAN)
@@ -142,7 +141,7 @@ class TestMeanCurvature:
         assert max(abs(leaf_residual(p, jet)) for p in points) > LEAF_TOL
         for point in points:
             mean_curvature_at(point, jet, 3, RIEMANNIAN)
-        off = SurfacePoint(x=(points[0].x[0] + 1e-3,) + points[0].x[1:], t=0.0)
+        off = SurfacePoint(x1=points[0].x1 + 1e-3, xn=points[0].xn, t=0.0)
         with pytest.raises(NotOnLeaf):
             mean_curvature_at(off, jet, 3, RIEMANNIAN)
 
