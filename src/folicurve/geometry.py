@@ -18,6 +18,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 from .identity import (
     GeometrySignature,
@@ -26,7 +28,6 @@ from .identity import (
     neg_nH_S3,
     s_squared_reduced,
 )
-from .symexpr import Indeterminate
 
 LEAF_TOL = 1e-9          # membership in the leaf sphere, widened by LEAF_ROUNDING * |k r|
 LEAF_ROUNDING = 16 * sys.float_info.epsilon  # rounding of a point built on a leaf, per unit k r
@@ -74,16 +75,10 @@ class FoliationJet:
         if not all(map(math.isfinite, jet)):
             raise InvalidSphere(f"need a finite (k, k', k'', r, r', r'') at t={self.t}, got {jet}")
 
-    def bindings(self, n: int) -> dict:
-        return {
-            Indeterminate.KAP: self.k,
-            Indeterminate.KAP1: self.k1,
-            Indeterminate.KAP2: self.k2,
-            Indeterminate.RHO: self.r,
-            Indeterminate.RHO1: self.r1,
-            Indeterminate.RHO2: self.r2,
-            Indeterminate.NU: float(n),
-        }
+    def bindings(self, n: int, x: float) -> list:
+        """Dense `eval_numeric` bindings of the jet in dimension n at X = x: one
+        slot per `Indeterminate`, in its order, with SIG unbound (None)."""
+        return [x, self.k, self.k1, self.k2, self.r, self.r1, self.r2, None, float(n)]
 
 
 @dataclass(frozen=True)
@@ -92,10 +87,12 @@ class HyperbolicCenter:
     R: float
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
+class SurfacePoint(NamedTuple):
     """A point at height t as x1 = |(x_1, ..., x_{n-1})| and x_n: every quantity
-    computed here is invariant under rotations of the tangential coordinates."""
+    computed here is invariant under rotations of the tangential coordinates.
+
+    A named tuple, so that the scan builds one per point cheaply; it compares
+    equal to any tuple with the same (x1, xn, t)."""
 
     x1: float
     xn: float
@@ -103,10 +100,15 @@ class SurfacePoint:
 
 
 def euclidean_to_hyperbolic(k: float, r: float) -> HyperbolicCenter:
-    """K = sqrt(k^2 - r^2), R = ln((k+r)/(k-r)) / 2."""
+    """K = sqrt(k^2 - r^2), R = ln((k+r)/(k-r)) / 2.
+
+    Evaluated as K = sqrt((k-r)(k+r)) and R = log1p(2r/(k-r)) / 2, so that both
+    stay within a few ulp for every r/k in (0, 1); the quotient (k+r)/(k-r)
+    would round a tiny r/k away.
+    """
     if r <= 0 or k <= r:
         raise InvalidSphere(f"need k > r > 0, got k={k}, r={r}")
-    K, R = math.sqrt(k * k - r * r), 0.5 * math.log((k + r) / (k - r))
+    K, R = math.sqrt((k - r) * (k + r)), 0.5 * math.log1p(2 * r / (k - r))
     if not (0 < K < math.inf and 0 < R < math.inf):
         raise InvalidSphere(f"k={k}, r={r} give K={K}, R={R}: not finite positive floats")
     return HyperbolicCenter(K=K, R=R)
@@ -116,7 +118,10 @@ def hyperbolic_to_euclidean(center: HyperbolicCenter) -> tuple[float, float]:
     """Inverse conversion: k = K cosh R, r = K sinh R."""
     if center.K <= 0 or center.R <= 0:
         raise InvalidSphere(f"need K > 0 and R > 0, got K={center.K}, R={center.R}")
-    k, r = center.K * math.cosh(center.R), center.K * math.sinh(center.R)
+    try:
+        k, r = center.K * math.cosh(center.R), center.K * math.sinh(center.R)
+    except OverflowError:
+        raise InvalidSphere(f"K={center.K}, R={center.R}: cosh(R) overflows a float") from None
     if not (0 < k < math.inf and 0 < r < math.inf):
         raise InvalidSphere(f"K={center.K}, R={center.R} give k={k}, r={r}: "
                             "not finite positive floats")
@@ -149,8 +154,7 @@ def mean_curvature_at(
 ) -> float:
     """H = -(-nH*S^3 value)/(n S^3) via the verified symbolic polynomial."""
     _require_on_leaf(p, jet)
-    bindings = jet.bindings(n)
-    bindings[Indeterminate.X] = p.xn
+    bindings = jet.bindings(n, p.xn)
     s2 = s_squared_reduced(sig).eval_numeric(bindings)
     if s2 <= DEGENERACY_TOL:
         raise DegenerateNormal(f"S^2 = {s2} at x_n={p.xn} ({sig.label})")
@@ -225,18 +229,29 @@ def mean_curvature_fd(
     return -div / n
 
 
+@lru_cache(maxsize=1)
+def _leaf_angles(count: int) -> tuple[tuple[float, float], ...]:
+    """(cos theta, sin theta) of the golden-ratio angles of `count` leaf points.
+
+    Every leaf of a scan samples the same angles, so the scan computes them
+    once; only the last table is kept.
+    """
+    table = []
+    for j in range(count):
+        theta = math.pi * math.fmod((j + 0.5) * _GOLDEN, 1.0)
+        table.append((math.cos(theta), math.sin(theta)))
+    return tuple(table)
+
+
 def leaf_points(jet: FoliationJet, n: int, count: int) -> list[SurfacePoint]:
     """Deterministic low-discrepancy sample of the leaf sphere: golden-ratio
     angles set x_n = k + r cos(theta) and x1 = r sin(theta), the same for any n."""
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
+    k, r, t = jet.k, jet.r, jet.t
     points = []
-    for j in range(count):
-        u = math.fmod((j + 0.5) * _GOLDEN, 1.0)
-        theta = math.pi * u
-        xn = jet.k + jet.r * math.cos(theta)
-        x1 = jet.r * math.sin(theta)
-        points.append(SurfacePoint(x1=x1, xn=xn, t=jet.t))
+    for cos, sin in _leaf_angles(count):
+        points.append(SurfacePoint(r * sin, k + r * cos, t))
     return points
 
 
@@ -245,8 +260,11 @@ def dKdt_of_jet(jet: FoliationJet) -> float:
     return (jet.k * jet.k1 - jet.r * jet.r1) / math.sqrt(jet.k ** 2 - jet.r ** 2)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
+    """One scanned point: its leaf height t, its x_n, H (None where the point
+    is not admissible), the leaf's dK/dt, and the Lorentzian spacelike flag
+    (None in the Riemannian metric).  A named tuple, built once per point."""
+
     t: float
     x_n: float
     H: float | None

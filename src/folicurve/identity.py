@@ -55,6 +55,11 @@ class GeometrySignature(enum.Enum):
     RIEMANNIAN = 1
     LORENTZIAN = -1
 
+    # Members are singletons compared by identity, so hashing by identity agrees
+    # with equality, and the per-point cache lookups keyed by a signature skip
+    # the Python-level Enum.__hash__.
+    __hash__ = object.__hash__
+
     @property
     def epsilon(self) -> int:
         return self.value

@@ -110,13 +110,8 @@ def cmc_rhs(
     if sig is not RIEMANNIAN and factor <= 0:
         raise DegenerateNormal(f"k'^2 - r^2 = {factor} at r={r}, r'={r1}")
     lead_expr, rest_expr = _ode_form(sig)
-    bindings = {
-        Indeterminate.KAP: k,
-        Indeterminate.KAP1: k1,
-        Indeterminate.RHO: r,
-        Indeterminate.RHO1: r1,
-        Indeterminate.NU: float(n),
-    }
+    # dense bindings in Indeterminate order: X, KAP, KAP1, KAP2, RHO, RHO1, RHO2, SIG, NU
+    bindings = [None, k, k1, None, r, r1, None, None, float(n)]
     lead = lead_expr.eval_numeric(bindings)  # = -r^2
     if abs(lead) < 1e-24:
         raise InvalidSphere(f"lead coefficient {lead} at r={r}")
@@ -259,24 +254,35 @@ def integrate_profile(
     return RotationalProfile(K=K, H_target=H, n=n, sig=sig, rows=rows, halted=halted)
 
 
+@lru_cache(maxsize=None)
+def _lagrange_plan(width: int) -> tuple:
+    """Index tuples of the Lagrange-derivative sums for `width` nodes: per node j,
+    (j, the factor indices m of each product over p != j, the indices m != j)."""
+    plan = []
+    for j in range(width):
+        others = tuple(m for m in range(width) if m != j)
+        products = tuple(tuple(m for m in others if m != p) for p in others)
+        plan.append((j, products, others))
+    return tuple(plan)
+
+
 def _lagrange_derivative(ts: list[float], ys: list[float], x: float) -> float:
-    """Derivative at x of the interpolating polynomial through (ts, ys)."""
+    """Derivative at x of the interpolating polynomial through (ts, ys):
+    sum_j y_j sum_{p != j} prod_{m != j, p} (x - t_m) / prod_{m != j} (t_j - t_m)."""
+    offsets = [x - tm for tm in ts]
     total = 0.0
-    for j, (tj, yj) in enumerate(zip(ts, ys)):
+    for j, products, others in _lagrange_plan(len(ts)):
         num = 0.0
-        for p in range(len(ts)):
-            if p == j:
-                continue
+        for factors in products:
             prod = 1.0
-            for m, tm in enumerate(ts):
-                if m != j and m != p:
-                    prod *= x - tm
+            for m in factors:
+                prod *= offsets[m]
             num += prod
+        tj = ts[j]
         denom = 1.0
-        for m, tm in enumerate(ts):
-            if m != j:
-                denom *= tj - tm
-        total += yj * num / denom
+        for m in others:
+            denom *= tj - ts[m]
+        total += ys[j] * num / denom
     return total
 
 

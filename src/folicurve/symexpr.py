@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import operator
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Sequence
 
 
 class JetOrderExceeded(Exception):
@@ -295,10 +295,15 @@ class SymExpr:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def eval_numeric(self, bindings: Mapping[Indeterminate, float]) -> float:
+    def eval_numeric(
+        self, bindings: Mapping[Indeterminate, float] | Sequence[float | None]
+    ) -> float:
         """IEEE-double evaluation; rational coefficients convert at the last step.
 
-        The first call compiles the polynomial into a straight-line kernel
+        `bindings` is either a mapping keyed by `Indeterminate` or a dense
+        sequence of `len(Indeterminate)` values indexed by it, with None in
+        the slots left unbound; both give the same float.  The first call
+        compiles the polynomial into a straight-line kernel
         (`_compile_kernel`) that every later call reuses.
         """
         try:
@@ -307,8 +312,13 @@ class SymExpr:
             kernel = self._kernel = self._compile_kernel()
         try:
             return kernel(bindings)
-        except KeyError:
-            missing = [ind.name for ind in self.indeterminates() if ind not in bindings]
+        except (KeyError, IndexError, TypeError):
+            used = self.indeterminates()
+            if isinstance(bindings, Mapping):
+                missing = [ind.name for ind in used if ind not in bindings]
+            else:
+                missing = [ind.name for ind in used
+                           if ind >= len(bindings) or bindings[ind] is None]
             if missing:
                 raise MissingBinding(f"no value for {', '.join(sorted(missing))}") from None
             raise
@@ -322,11 +332,12 @@ class SymExpr:
         float(coeff), and add the terms left to right to 0.0.  Each distinct
         power is computed once (`b ** 1` is `b`), and so is each `1.0 * power`
         that starts a product (a no-op for float bindings, a conversion for
-        integer ones).
+        integer ones).  A binding is read as `b[int(ind)]`, which an
+        `Indeterminate`-keyed mapping and a dense sequence both answer.
         """
         used = list(self.indeterminates())
         names = {ind: ind.name.lower() for ind in used}
-        lines = [f"    {names[ind]} = b[{ind.name}]" for ind in used]
+        lines = [f"    {names[ind]} = b[{int(ind)}]" for ind in used]
         if any(exps[Indeterminate.X] < 0 for exps in self._terms):
             lines.append('    if x <= 0: raise ValueError("X binding must be positive for Laurent terms")')
         hoisted: set[str] = set()
@@ -353,7 +364,7 @@ class SymExpr:
             else:
                 summands.append(repr(float(coeff)))
         source = "def kernel(b):\n" + "\n".join(lines + ["    return " + " + ".join(summands)])
-        namespace = {ind.name: ind for ind in Indeterminate}
+        namespace = {}
         exec(source, namespace)
         return namespace["kernel"]
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import logging
@@ -285,6 +286,12 @@ class TestBadInput:
             if cls is not identity.IdentityViolation:
                 assert issubclass(cls, (ValueError, ArithmeticError)), cls
 
+    def test_convert_R_overflow_names_the_center(self, capsys):
+        # the convert-R-overflow case above: its one line names K and R
+        code, _, err = run(["convert", "--K", "1", "--R", "1000"], capsys)
+        assert code == 2
+        assert err.startswith("invalid sphere:") and "K=1.0" in err and "R=1000.0" in err
+
     def test_overflow_message(self, capsys):
         code, _, err = run(
             ["scan", "--k", "2+exp(1000*t)", "--r", "1", "--n", "3", "--t", "0:1", "--samples", "2"],
@@ -453,6 +460,13 @@ class TestConvert:
         payload = json.loads(out)
         assert payload["k"] == pytest.approx(1.5430806348152437)
         assert payload["r"] == pytest.approx(1.1752011936438014)
+
+    @pytest.mark.parametrize("r", ["1e-17", "1e-12"])
+    def test_tiny_radius_keeps_R(self, r, capsys):
+        # R = atanh(r/k) = r to double precision at k = 1
+        code, out, _ = run(["convert", "--k", "1", "--r", r], capsys)
+        assert code == 0
+        assert json.loads(out)["R"] == float(r)
 
     def test_invalid_sphere(self, capsys):
         code, _, _ = run(["convert", "--k", "1", "--r", "2"], capsys)
@@ -682,6 +696,54 @@ class TestFuzz:
         assert len(err.getvalue().splitlines()) <= 1, (argv, config_text, err.getvalue())
         if out.getvalue():
             json.loads(out.getvalue(), parse_constant=_no_constant)
+
+
+# name -> (argv, output files the run writes); every run exits 0
+GOLDEN_RUNS = {
+    "scan-drift-n4": (["scan", "--k", "3 + 0.3*t + 0.1*t^2", "--r", "1 - 0.1*t^2", "--n", "4",
+                       "--t", "0:1", "--samples", "20"], ("out-csv", "out-json")),
+    "scan-cylinder": (["scan", "--k", "cosh(0.8)", "--r", "sinh(0.8)", "--n", "3",
+                       "--t", "0:1", "--samples", "10"], ("out-csv", "out-json")),
+    "scan-lorentzian-nested": (["scan", "--signature", "lorentzian",
+                                "--k", "3 + 0.2*sin(1.3*t)*exp(0.1*t)",
+                                "--r", "1 + 3.4*t + 0.1*cos(sqrt(1 + 1.2*t^2))", "--n", "3",
+                                "--t", "0:0.25", "--samples", "20"], ("out-csv", "out-json")),
+    "generate-validate-riemannian": (["generate", "--n", "3", "--K", "1.2", "--r0", "0.9",
+                                      "--r1", "0.2", "--H", "-0.3", "--t", "0:0.06:1e-3",
+                                      "--validate"], ("out-csv", "out-json")),
+    "generate-validate-lorentzian": (["generate", "--signature", "lorentzian", "--n", "4",
+                                      "--K", "1", "--r0", "1", "--r1", "1.9", "--H", "-0.2",
+                                      "--t", "0:0.06:1e-3", "--validate"],
+                                     ("out-csv", "out-json")),
+    "generate-off-n2": (["generate", "--n", "2", "--H", "0.75", "--K", "1", "--t", "0:0.05",
+                         "--off-segments", "7"], ("off",)),
+}
+
+# SHA-256 of stdout and then each output file, recorded with the plain per-point
+# and per-step code, which the current code must match bit for bit.
+GOLDEN_OUTPUTS = {
+    "scan-drift-n4": "de95346343cfe6f492e8f2291194ffd4b4fbd5305e9984091cfc5a934d373088",
+    "scan-cylinder": "28e7a683c9cf707bfbdefcadb12930ea17c504953738b8fa4524ee8f8b428513",
+    "scan-lorentzian-nested": "a2aee1df67b65472e4bff17d5cc3f23a3a046cfa388c5cefea0f31d2edb2efa0",
+    "generate-validate-riemannian": "0dd53b5e6d72db6ed4396658404b6f68ac21d9c3e78628bd662d822abb1a5655",
+    "generate-validate-lorentzian": "e42ee6a5a3413dab960a7c8b7ffb2f77ac9904a5339d7e332d38d0aaded0ee5d",
+    "generate-off-n2": "c6b5d92db4114d6f7bf75c42498a121bbfd18178824519afda0a47b10958d498",
+}
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+    def test_outputs_are_bit_identical(self, name, tmp_path, capsys):
+        argv, outputs = GOLDEN_RUNS[name]
+        paths = [tmp_path / f"out.{flag}" for flag in outputs]
+        for flag, path in zip(outputs, paths):
+            argv = argv + [f"--{flag}", str(path)]
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        digest = hashlib.sha256(out.encode())
+        for path in paths:
+            digest.update(b"\0" + path.read_bytes())
+        assert digest.hexdigest() == GOLDEN_OUTPUTS[name]
 
 
 class TestDeterminism:

@@ -1,9 +1,10 @@
 """Conversions, pointwise curvature vs the finite-difference oracle, scanning."""
 
+import decimal
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from folicurve.exprlang import ProfileFunctions, differentiate, evaluate, parse
@@ -29,6 +30,7 @@ from folicurve.geometry import (
 )
 from folicurve.identity import LORENTZIAN, RIEMANNIAN
 from folicurve.profiles import cmc_rhs
+from folicurve.symexpr import Indeterminate
 
 
 def cylinder_profile(R: float = 1.0, K: float = 1.0) -> ProfileFunctions:
@@ -89,6 +91,68 @@ class TestConversions:
         assert abs(back.K - K) <= 1e-12 * K
         assert abs(back.R - R) <= 1e-12 * max(R, 1.0)
         assert math.sqrt(k * k - r * r) == pytest.approx(K, rel=1e-12)
+
+    @given(
+        st.floats(min_value=-100.0, max_value=100.0),
+        st.floats(min_value=-300.0, max_value=math.log10(1 - 1e-15)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_within_four_ulp_of_exact(self, log_k, log_ratio):
+        k = 10.0 ** log_k
+        r = k * 10.0 ** log_ratio
+        assume(0 < r < k)
+        center = euclidean_to_hyperbolic(k, r)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 700
+            dk, dr = decimal.Decimal(k), decimal.Decimal(r)
+            exact_K = ((dk - dr) * (dk + dr)).sqrt()
+            exact_R = ((dk + dr) / (dk - dr)).ln() / 2
+            for value, exact in ((center.K, exact_K), (center.R, exact_R)):
+                ulp = decimal.Decimal(math.ulp(float(exact)))
+                assert abs(decimal.Decimal(value) - exact) <= 4 * ulp, (k, r, value)
+
+
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def per_point_leaf_points(jet: FoliationJet, count: int) -> list[tuple[float, float, float]]:
+    """leaf_points computing each angle at its point, without the angle table;
+    the bit-identity reference."""
+    points = []
+    for j in range(count):
+        theta = math.pi * math.fmod((j + 0.5) * GOLDEN, 1.0)
+        points.append((jet.r * math.sin(theta), jet.k + jet.r * math.cos(theta), jet.t))
+    return points
+
+
+def bits(values) -> list[str]:
+    return [float.hex(float(v)) for v in values]
+
+
+class TestPointPath:
+    @given(
+        st.floats(min_value=1e-3, max_value=1e6),
+        st.floats(min_value=1e-6, max_value=1.0),
+        st.floats(min_value=-10.0, max_value=10.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_leaf_points_match_per_point_angles(self, k, ratio, t):
+        jet = FoliationJet(t=t, k=k, k1=0.0, k2=0.0, r=k * ratio, r1=0.0, r2=0.0)
+        for count in [*range(1, 65), 8, 64, 8]:  # the angle table changes with the count
+            points = leaf_points(jet, 3, count)
+            reference = per_point_leaf_points(jet, count)
+            assert len(points) == count
+            for point, expected in zip(points, reference):
+                assert bits((point.x1, point.xn, point.t)) == bits(expected)
+
+    def test_bindings_follow_indeterminate_order(self):
+        jet = FoliationJet(t=0.5, k=3.0, k1=0.1, k2=-0.2, r=1.5, r1=0.3, r2=0.4)
+        values = jet.bindings(4, 2.5)
+        assert len(values) == len(Indeterminate)
+        assert {ind.name: value for ind, value in zip(Indeterminate, values)} == {
+            "X": 2.5, "KAP": 3.0, "KAP1": 0.1, "KAP2": -0.2, "RHO": 1.5, "RHO1": 0.3,
+            "RHO2": 0.4, "SIG": None, "NU": 4.0,
+        }
 
 
 class TestMeanCurvature:

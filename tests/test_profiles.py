@@ -6,6 +6,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from folicurve import profiles
 from folicurve.geometry import constancy_scan
@@ -179,7 +181,52 @@ class TestIntegration:
             integrate_profile(1.0, 0.0, (0.3, 0.3), 1e-3, 1.0, 0.0, 3, RIEMANNIAN)
 
 
+def triple_loop_lagrange_derivative(ts: list[float], ys: list[float], x: float) -> float:
+    """_lagrange_derivative as a plain triple loop that recomputes x - t_m in
+    every product; the bit-identity reference."""
+    total = 0.0
+    for j, (tj, yj) in enumerate(zip(ts, ys)):
+        num = 0.0
+        for p in range(len(ts)):
+            if p == j:
+                continue
+            prod = 1.0
+            for m, tm in enumerate(ts):
+                if m != j and m != p:
+                    prod *= x - tm
+            num += prod
+        denom = 1.0
+        for m, tm in enumerate(ts):
+            if m != j:
+                denom *= tj - tm
+        total += yj * num / denom
+    return total
+
+
+@st.composite
+def lagrange_windows(draw):
+    """Unevenly spaced windows of 2..5 nodes, their values and a point within."""
+    width = draw(st.integers(min_value=2, max_value=5))
+    start = draw(st.floats(min_value=-10.0, max_value=10.0))
+    gaps = draw(st.lists(st.floats(min_value=1e-4, max_value=0.5), min_size=width - 1,
+                         max_size=width - 1))
+    ts = [start]
+    for gap in gaps:
+        ts.append(ts[-1] + gap)
+    ys = draw(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=width,
+                       max_size=width))
+    x = draw(st.sampled_from(ts) | st.floats(min_value=ts[0], max_value=ts[-1]))
+    return ts, ys, x
+
+
 class TestHermiteProfile:
+    @given(lagrange_windows())
+    @settings(max_examples=300)
+    def test_lagrange_derivative_matches_triple_loop(self, window):
+        ts, ys, x = window
+        value = profiles._lagrange_derivative(ts, ys, x)
+        assert float.hex(value) == float.hex(triple_loop_lagrange_derivative(ts, ys, x))
+
     def test_exact_at_nodes(self):
         profile = catenoid(t_end=0.2)
         interp = HermiteProfile(profile)

@@ -333,6 +333,43 @@ class TestCompiledKernel:
             p.eval_numeric({Indeterminate.X: -2.0, Indeterminate.KAP: 1.0})
 
 
+def dense(bindings) -> list:
+    """The dense binding vector of a mapping: one slot per Indeterminate, None if unbound."""
+    return [bindings.get(ind) for ind in Indeterminate]
+
+
+class TestDenseBindings:
+    @given(sym_exprs(), bindings_st)
+    @settings(max_examples=200)
+    def test_matches_mapping(self, p, bindings):
+        value = p.eval_numeric(dense(bindings))
+        assert_same_double(value, p.eval_numeric(bindings))
+        assert_same_double(value, term_loop_eval(p, bindings))
+
+    @pytest.mark.parametrize("name", sorted(VERIFIED))
+    @given(bindings=jets_st)
+    @settings(max_examples=100)
+    def test_verified_polynomials_match_mapping(self, name, bindings):
+        p = VERIFIED[name]
+        value = p.eval_numeric(dense(bindings))  # SIG unbound: none of them uses it
+        assert_same_double(value, p.eval_numeric(bindings))
+        assert_same_double(value, term_loop_eval(p, bindings))
+
+    def test_unbound_slot_is_missing_binding(self):
+        p = X * KAP * RHO
+        values = dense({Indeterminate.X: 1.0, Indeterminate.KAP: 1.0, Indeterminate.RHO: 1.0})
+        assert p.eval_numeric(values) == 1.0
+        values[Indeterminate.KAP] = values[Indeterminate.RHO] = None
+        with pytest.raises(MissingBinding, match=r"^no value for KAP, RHO$"):
+            p.eval_numeric(values)
+        with pytest.raises(MissingBinding, match=r"^no value for KAP, RHO$"):
+            p.eval_numeric([1.0])
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(TypeError):
+            (X * KAP).eval_numeric(["1.0", 2.0])
+
+
 def fraction_add(a: SymExpr, b: SymExpr) -> dict:
     """The Fraction-only term loop of addition; the reference for the coefficient storage."""
     out = {exps: Fraction(c) for exps, c in a.terms()}
