@@ -12,7 +12,6 @@ from .identity import (
 )
 from .geometry import (
     FoliationJet,
-    HyperbolicCenter,
     SurfacePoint,
     constancy_scan,
     euclidean_to_hyperbolic,
@@ -41,7 +40,6 @@ __all__ = [
     "theorem_residuals",
     "verify_squared_identity",
     "FoliationJet",
-    "HyperbolicCenter",
     "SurfacePoint",
     "constancy_scan",
     "euclidean_to_hyperbolic",

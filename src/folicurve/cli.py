@@ -259,15 +259,15 @@ def cmd_convert(args: types.SimpleNamespace) -> int:
         return EXIT_INPUT
     try:
         if args.k is not None:
-            center = geometry.euclidean_to_hyperbolic(args.k, args.r)
             k, r = args.k, args.r
+            K, R = geometry.euclidean_to_hyperbolic(k, r)
         else:
-            center = geometry.HyperbolicCenter(K=args.K, R=args.R)
-            k, r = geometry.hyperbolic_to_euclidean(center)
+            K, R = args.K, args.R
+            k, r = geometry.hyperbolic_to_euclidean(K, R)
     except (ValueError, ArithmeticError) as err:
         print(f"invalid sphere: {err}", file=sys.stderr)
         return EXIT_INPUT
-    print(json.dumps({"k": k, "r": r, "K": center.K, "R": center.R}, indent=2))
+    print(json.dumps({"k": k, "r": r, "K": K, "R": R}, indent=2))
     return EXIT_OK
 
 

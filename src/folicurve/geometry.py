@@ -1,9 +1,9 @@
 """Numeric layer: center conversions, pointwise mean curvature, spacelike tests,
 and constancy scans over a foliated hypersurface.
 
-Profiles are duck-typed: any object with k_value(t), r_value(t) and
-jet_values(t) -> (k, k', k'', r, r', r'') works (see exprlang.ProfileFunctions
-and profiles.HermiteProfile).
+Profiles are duck-typed.  A scan needs only jet_values(t) -> (k, k', k'', r,
+r', r'') (see exprlang.ProfileFunctions and profiles.HermiteProfile); only the
+finite-difference oracle also needs k_value(t) and r_value(t).
 
 Orientation convention: H is reported for the unit normal N = -grad f/|grad f|
 with f increasing outward from the leaf center.  Under this convention a
@@ -81,12 +81,6 @@ class FoliationJet:
         return [x, self.k, self.k1, self.k2, self.r, self.r1, self.r2, None, float(n)]
 
 
-@dataclass(frozen=True)
-class HyperbolicCenter:
-    K: float
-    R: float
-
-
 class SurfacePoint(NamedTuple):
     """A point at height t as x1 = |(x_1, ..., x_{n-1})| and x_n: every quantity
     computed here is invariant under rotations of the tangential coordinates.
@@ -99,8 +93,8 @@ class SurfacePoint(NamedTuple):
     t: float
 
 
-def euclidean_to_hyperbolic(k: float, r: float) -> HyperbolicCenter:
-    """K = sqrt(k^2 - r^2), R = ln((k+r)/(k-r)) / 2.
+def euclidean_to_hyperbolic(k: float, r: float) -> tuple[float, float]:
+    """(K, R) with K = sqrt(k^2 - r^2), R = ln((k+r)/(k-r)) / 2.
 
     Evaluated as K = sqrt((k-r)(k+r)) and R = log1p(2r/(k-r)) / 2, so that both
     stay within a few ulp for every r/k in (0, 1); the quotient (k+r)/(k-r)
@@ -111,20 +105,19 @@ def euclidean_to_hyperbolic(k: float, r: float) -> HyperbolicCenter:
     K, R = math.sqrt((k - r) * (k + r)), 0.5 * math.log1p(2 * r / (k - r))
     if not (0 < K < math.inf and 0 < R < math.inf):
         raise InvalidSphere(f"k={k}, r={r} give K={K}, R={R}: not finite positive floats")
-    return HyperbolicCenter(K=K, R=R)
+    return K, R
 
 
-def hyperbolic_to_euclidean(center: HyperbolicCenter) -> tuple[float, float]:
-    """Inverse conversion: k = K cosh R, r = K sinh R."""
-    if center.K <= 0 or center.R <= 0:
-        raise InvalidSphere(f"need K > 0 and R > 0, got K={center.K}, R={center.R}")
+def hyperbolic_to_euclidean(K: float, R: float) -> tuple[float, float]:
+    """Inverse conversion: (k, r) with k = K cosh R, r = K sinh R."""
+    if K <= 0 or R <= 0:
+        raise InvalidSphere(f"need K > 0 and R > 0, got K={K}, R={R}")
     try:
-        k, r = center.K * math.cosh(center.R), center.K * math.sinh(center.R)
+        k, r = K * math.cosh(R), K * math.sinh(R)
     except OverflowError:
-        raise InvalidSphere(f"K={center.K}, R={center.R}: cosh(R) overflows a float") from None
+        raise InvalidSphere(f"K={K}, R={R}: cosh(R) overflows a float") from None
     if not (0 < k < math.inf and 0 < r < math.inf):
-        raise InvalidSphere(f"K={center.K}, R={center.R} give k={k}, r={r}: "
-                            "not finite positive floats")
+        raise InvalidSphere(f"K={K}, R={R} give k={k}, r={r}: not finite positive floats")
     return k, r
 
 
@@ -333,14 +326,15 @@ def constancy_scan(
     """Evaluate H on a leaves x points grid; report the constancy diagnostics."""
     if samples < 1:
         raise ValueError("samples must be positive")
+    if points_per_leaf < 1:
+        raise ValueError("points_per_leaf must be positive")
     t0, t1 = t_range
     ts = [t0 + (t1 - t0) * i / (samples - 1) for i in range(samples)] if samples > 1 else [t0]
 
     rows: list[ScanRow] = []
     values: list[float] = []
     max_dkdt = 0.0
-    spacelike_count = 0
-    total_points = 0
+    lorentzian = sig is not RIEMANNIAN
 
     try:
         for t in ts:
@@ -349,29 +343,22 @@ def constancy_scan(
             dkdt = dKdt_of_jet(jet)
             max_dkdt = max(max_dkdt, abs(dkdt))
             for point in leaf_points(jet, n, points_per_leaf):
-                total_points += 1
-                if sig is RIEMANNIAN:
-                    h_val = mean_curvature_at(point, jet, n, sig)
-                    rows.append(ScanRow(t, point.xn, h_val, dkdt, None))
-                    values.append(h_val)
-                    continue
-                try:
-                    spacelike = is_spacelike(point, jet)
-                except DegenerateNormal:
-                    spacelike = False
-                if spacelike:
+                spacelike = h_val = None
+                if lorentzian:
+                    try:
+                        spacelike = is_spacelike(point, jet)
+                    except DegenerateNormal:
+                        spacelike = False
+                if spacelike is not False:
                     h_val = mean_curvature_at(point, jet, n, sig)
                     values.append(h_val)
-                    spacelike_count += 1
-                    rows.append(ScanRow(t, point.xn, h_val, dkdt, True))
-                else:
-                    rows.append(ScanRow(t, point.xn, None, dkdt, False))
+                rows.append(ScanRow(t, point.xn, h_val, dkdt, spacelike))
     except OverflowError as err:
         raise OverflowError(f"float overflow on the leaf at t={t}") from err
 
     mean_h = sum(values) / len(values) if values else None
     max_dev = max(abs(v - mean_h) for v in values) if values else None
-    fraction = spacelike_count / total_points if sig is not RIEMANNIAN else None
+    fraction = sum(1 for row in rows if row.spacelike) / len(rows) if lorentzian else None
     return ScanReport(
         signature=sig.label,
         n=n,

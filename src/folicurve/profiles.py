@@ -352,12 +352,6 @@ class HermiteProfile:
         ) / (w * w)
         return value, slope, curve
 
-    def r_value(self, t: float) -> float:
-        return self._r_jet(t)[0]
-
-    def k_value(self, t: float) -> float:
-        return math.hypot(self.K, self._r_jet(t)[0])
-
     def jet_values(self, t: float) -> tuple[float, float, float, float, float, float]:
         r, r1, r2 = self._r_jet(t)
         k = math.hypot(self.K, r)

@@ -270,9 +270,6 @@ class SymExpr:
         """The coefficient of X^degree, free of X."""
         return self.coeff_of(Indeterminate.X, degree)
 
-    def degrees_of(self, ind: Indeterminate) -> list[int]:
-        return sorted({exps[ind] for exps in self._terms})
-
     def indeterminates(self) -> set[Indeterminate]:
         used = set()
         for exps in self._terms:
@@ -285,13 +282,6 @@ class SymExpr:
         """(exponent vector, coefficient) pairs; coefficients in canonical form."""
         return iter(self._terms.items())
 
-    def constant_value(self) -> Fraction:
-        """The rational value of a constant polynomial."""
-        if not self._terms:
-            return Fraction(0)
-        if set(self._terms) != {_ZERO_EXPS}:
-            raise ValueError(f"not a constant: {self}")
-        return Fraction(self._terms[_ZERO_EXPS])
 
     # -- numeric evaluation --------------------------------------------------
 

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
+from folicurve import geometry
 from folicurve.exprlang import ProfileFunctions, differentiate, evaluate, parse
 from folicurve.geometry import (
     DegenerateNormal,
     FoliationJet,
-    HyperbolicCenter,
     InvalidSphere,
     LEAF_TOL,
     NotOnLeaf,
@@ -49,14 +49,14 @@ def point_at(jet: FoliationJet, xn: float) -> SurfacePoint:
 
 class TestConversions:
     def test_golden_five_three(self):
-        center = euclidean_to_hyperbolic(5.0, 3.0)
-        assert center.K == pytest.approx(4.0, abs=1e-15)
-        assert center.R == pytest.approx(math.log(2.0), abs=1e-15)
+        K, R = euclidean_to_hyperbolic(5.0, 3.0)
+        assert K == pytest.approx(4.0, abs=1e-15)
+        assert R == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_hyperbolic_trig_pair(self):
-        center = euclidean_to_hyperbolic(math.cosh(1.0), math.sinh(1.0))
-        assert center.K == pytest.approx(1.0, rel=1e-14)
-        assert center.R == pytest.approx(1.0, rel=1e-14)
+        K, R = euclidean_to_hyperbolic(math.cosh(1.0), math.sinh(1.0))
+        assert K == pytest.approx(1.0, rel=1e-14)
+        assert R == pytest.approx(1.0, rel=1e-14)
 
     def test_boundary_rejected(self):
         with pytest.raises(InvalidSphere):
@@ -65,20 +65,20 @@ class TestConversions:
             euclidean_to_hyperbolic(2.0, -0.5)
 
     def test_inverse_golden(self):
-        k, r = hyperbolic_to_euclidean(HyperbolicCenter(K=4.0, R=math.log(2.0)))
+        k, r = hyperbolic_to_euclidean(4.0, math.log(2.0))
         assert k == pytest.approx(5.0, rel=1e-14)
         assert r == pytest.approx(3.0, rel=1e-14)
 
     def test_inverse_definition(self):
-        k, r = hyperbolic_to_euclidean(HyperbolicCenter(K=1.0, R=1.0))
+        k, r = hyperbolic_to_euclidean(1.0, 1.0)
         assert k == pytest.approx(math.cosh(1.0), rel=1e-15)
         assert r == pytest.approx(math.sinh(1.0), rel=1e-15)
 
     def test_inverse_rejects_nonpositive(self):
         with pytest.raises(InvalidSphere):
-            hyperbolic_to_euclidean(HyperbolicCenter(K=-1.0, R=1.0))
+            hyperbolic_to_euclidean(-1.0, 1.0)
         with pytest.raises(InvalidSphere):
-            hyperbolic_to_euclidean(HyperbolicCenter(K=1.0, R=0.0))
+            hyperbolic_to_euclidean(1.0, 0.0)
 
     @given(
         st.floats(min_value=0.05, max_value=50.0),
@@ -86,10 +86,10 @@ class TestConversions:
     )
     @settings(max_examples=200)
     def test_roundtrip(self, K, R):
-        k, r = hyperbolic_to_euclidean(HyperbolicCenter(K=K, R=R))
-        back = euclidean_to_hyperbolic(k, r)
-        assert abs(back.K - K) <= 1e-12 * K
-        assert abs(back.R - R) <= 1e-12 * max(R, 1.0)
+        k, r = hyperbolic_to_euclidean(K, R)
+        back_K, back_R = euclidean_to_hyperbolic(k, r)
+        assert abs(back_K - K) <= 1e-12 * K
+        assert abs(back_R - R) <= 1e-12 * max(R, 1.0)
         assert math.sqrt(k * k - r * r) == pytest.approx(K, rel=1e-12)
 
     @given(
@@ -101,13 +101,13 @@ class TestConversions:
         k = 10.0 ** log_k
         r = k * 10.0 ** log_ratio
         assume(0 < r < k)
-        center = euclidean_to_hyperbolic(k, r)
+        K, R = euclidean_to_hyperbolic(k, r)
         with decimal.localcontext() as ctx:
             ctx.prec = 700
             dk, dr = decimal.Decimal(k), decimal.Decimal(r)
             exact_K = ((dk - dr) * (dk + dr)).sqrt()
             exact_R = ((dk + dr) / (dk - dr)).ln() / 2
-            for value, exact in ((center.K, exact_K), (center.R, exact_R)):
+            for value, exact in ((K, exact_K), (R, exact_R)):
                 ulp = decimal.Decimal(math.ulp(float(exact)))
                 assert abs(decimal.Decimal(value) - exact) <= 4 * ulp, (k, r, value)
 
@@ -315,6 +315,41 @@ class TestConstancyScan:
         for t in (0.0, 0.4, 0.9):
             jet = FoliationJet.from_profile(profile, t)
             assert dKdt_of_jet(jet) == pytest.approx(evaluate(dK, t), abs=1e-12)
+
+    @pytest.mark.parametrize("sig", [RIEMANNIAN, LORENTZIAN])
+    def test_rejects_no_points_per_leaf(self, sig):
+        with pytest.raises(ValueError, match="points_per_leaf"):
+            constancy_scan(cylinder_profile(), (0.0, 1.0), 3, sig, 3, points_per_leaf=0)
+
+    @pytest.mark.parametrize("sig", [RIEMANNIAN, LORENTZIAN])
+    def test_kernel_calls_per_point(self, sig, monkeypatch):
+        # one spacelike test per Lorentzian point, none in the Riemannian
+        # metric, and one H per admissible point
+        calls = {"is_spacelike": 0, "mean_curvature_at": 0}
+
+        def counting(name):
+            original = getattr(geometry, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(geometry, name, counting(name))
+        profile = ProfileFunctions.from_strings("2 + 0.4*t - 0.1*t^2", "0.8 + 2.2*t + 0.15*t^2")
+        report = constancy_scan(profile, (0.0, 0.25), 3, sig, 5)
+        points = len(report.rows)
+        admissible = sum(1 for row in report.rows if row.H is not None)
+        assert points == 5 * 8
+        assert calls["is_spacelike"] == (points if sig is LORENTZIAN else 0)
+        assert calls["mean_curvature_at"] == admissible
+        if sig is LORENTZIAN:
+            spacelike = sum(1 for row in report.rows if row.spacelike is True)
+            assert 0 < admissible == spacelike < points
+            assert report.spacelike_fraction == spacelike / points
+        else:
+            assert admissible == points and report.spacelike_fraction is None
 
     def test_rejects_invalid_leaf(self):
         profile = ProfileFunctions.from_strings("1", "2")
