@@ -13,7 +13,6 @@ H = -(n-1) coth(R) / n.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import sys
@@ -121,6 +120,16 @@ def hyperbolic_to_euclidean(K: float, R: float) -> tuple[float, float]:
     return k, r
 
 
+def _sum(values) -> float:
+    """Left-to-right float sum.  Python 3.12 made the built-in sum() of floats
+    compensated, which changes the last bits of a sum between versions; this
+    adds in the order of the older sum(), so output bytes match on 3.10-3.13."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def leaf_residual(p: SurfacePoint, jet: FoliationJet) -> float:
     return p.x1 * p.x1 + (p.xn - jet.k) ** 2 - jet.r ** 2
 
@@ -145,14 +154,20 @@ def vertical_slot(p: SurfacePoint, jet: FoliationJet) -> float:
 def mean_curvature_at(
     p: SurfacePoint, jet: FoliationJet, n: int, sig: GeometrySignature
 ) -> float:
-    """H = -(-nH*S^3 value)/(n S^3) via the verified symbolic polynomial."""
+    """H = -(-nH*S^3 value)/(n S^3) via the verified symbolic polynomial.
+
+    The kernels overflow by multiplication, which raises nothing, so a
+    non-finite S^2 or H raises OverflowError here."""
     _require_on_leaf(p, jet)
     bindings = jet.bindings(n, p.xn)
     s2 = s_squared_reduced(sig).eval_numeric(bindings)
     if s2 <= DEGENERACY_TOL:
         raise DegenerateNormal(f"S^2 = {s2} at x_n={p.xn} ({sig.label})")
     value = neg_nH_S3(sig).eval_numeric(bindings)
-    return -value / (n * s2 * math.sqrt(s2))
+    h = -value / (n * s2 * math.sqrt(s2))
+    if not (math.isfinite(s2) and math.isfinite(h)):
+        raise OverflowError(f"S^2 = {s2}, H = {h} at x_n={p.xn} ({sig.label})")
+    return h
 
 
 def is_spacelike(p: SurfacePoint, jet: FoliationJet) -> bool:
@@ -197,7 +212,7 @@ def mean_curvature_fd(
                 grad.append((f(yp) - f(ym)) / (2 * step))
             xn = y[n - 1]
             up = [xn * xn * g for g in grad[:n]] + [eps * grad[n]]
-            inner = sum(g * u for g, u in zip(grad, up))
+            inner = _sum(g * u for g, u in zip(grad, up))
             squared = inner if eps > 0 else -inner
             if squared <= 0:
                 raise DegenerateNormal(f"gradient not admissible at t={y[n]} ({sig.label})")
@@ -253,6 +268,9 @@ def dKdt_of_jet(jet: FoliationJet) -> float:
     return (jet.k * jet.k1 - jet.r * jet.r1) / math.sqrt(jet.k ** 2 - jet.r ** 2)
 
 
+_CSV_FLAG = {None: "", True: "true", False: "false"}  # a row's spacelike field
+
+
 class ScanRow(NamedTuple):
     """One scanned point: its leaf height t, its x_n, H (None where the point
     is not admissible), the leaf's dK/dt, and the Lorentzian spacelike flag
@@ -302,17 +320,30 @@ class ScanReport:
         return json.dumps(payload)
 
     def to_csv(self, path: str) -> None:
+        """Write the rows as CSV, streamed one line at a time.
+
+        The bytes are those of `csv.writer` (CRLF line ends, no field ever
+        quoted): each field is a float repr, an empty string for None, or
+        "true"/"false".  A leaf's rows share its `t` and `dKdt` float objects,
+        so their reprs are formatted once and reused while a row holds those
+        same objects.  The test is identity, never ==: -0.0 == 0.0 but their
+        reprs differ.
+
+        `RotationalProfile.to_csv` keeps `csv.writer`: it writes one row per
+        integration step, not per scanned point, so its writer is not hot."""
+
+        def lines():
+            yield "t,x_n,H,dKdt,spacelike\r\n"
+            t = dkdt = lead = tail = None
+            for row_t, x_n, h, row_dkdt, spacelike in self.rows:
+                if row_t is not t or row_dkdt is not dkdt:
+                    t, dkdt = row_t, row_dkdt
+                    lead, tail = f"{t!r},", f",{dkdt!r},"
+                yield (f"{lead}{x_n!r},{'' if h is None else repr(h)}"
+                       f"{tail}{_CSV_FLAG[spacelike]}\r\n")
+
         with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "x_n", "H", "dKdt", "spacelike"])
-            for row in self.rows:
-                writer.writerow([
-                    repr(row.t),
-                    repr(row.x_n),
-                    "" if row.H is None else repr(row.H),
-                    repr(row.dKdt),
-                    "" if row.spacelike is None else str(row.spacelike).lower(),
-                ])
+            handle.writelines(lines())
 
 
 def constancy_scan(
@@ -341,6 +372,8 @@ def constancy_scan(
             jet = FoliationJet.from_profile(profile, t)
             jet.require_valid()
             dkdt = dKdt_of_jet(jet)
+            if not math.isfinite(dkdt):
+                raise OverflowError(f"dK/dt = {dkdt}")
             max_dkdt = max(max_dkdt, abs(dkdt))
             for point in leaf_points(jet, n, points_per_leaf):
                 spacelike = h_val = None
@@ -356,7 +389,7 @@ def constancy_scan(
     except OverflowError as err:
         raise OverflowError(f"float overflow on the leaf at t={t}") from err
 
-    mean_h = sum(values) / len(values) if values else None
+    mean_h = _sum(values) / len(values) if values else None
     max_dev = max(abs(v - mean_h) for v in values) if values else None
     fraction = sum(1 for row in rows if row.spacelike) / len(rows) if lorentzian else None
     return ScanReport(

@@ -12,7 +12,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from folicurve import cli, exprlang, geometry, identity, profiles
@@ -180,8 +180,12 @@ OVERFLOWS = [
      "--t", "0:0.01"],
     ["generate", "--n", "3", "--K", "1", "--H", "1e300", "--t", "0:0.01"],
     ["scan", "--k", "10^150", "--r", "10^149", "--n", "3", "--t", "0:1", "--samples", "2"],
+    # the kernels overflow to inf without raising, and S^2 and H come out NaN
+    ["scan", "--k", "10^100*(1+t)", "--r", "5*10^99", "--n", "3", "--t", "0:1", "--samples", "3",
+     "--points-per-leaf", "2"],
 ]
-OVERFLOW_IDS = ["generate-ode-overflow", "generate-huge-H", "scan-kernel-overflow"]
+OVERFLOW_IDS = ["generate-ode-overflow", "generate-huge-H", "scan-kernel-overflow",
+                "scan-nonfinite-H"]
 SCAN_INFINITE_CENTER = ["scan", "--k", "10^200*10^200", "--r", "1", "--n", "3", "--t", "0:1",
                         "--samples", "2"]
 
@@ -599,7 +603,8 @@ UNSET = object()  # the option is neither a flag nor in the config file
 # (good, bad) value pools per option.  Bad values are wrong JSON types, bools,
 # NaN/inf, out-of-range numbers, missing required options, "-h" (a value after
 # its flag, never a request for help) and requests the row cap must refuse.
-# Good t-ranges include one that starts with "-".  Spans and grids stay small so
+# Good t-ranges include one that starts with "-", and the good k and r
+# include a pair whose kernels overflow to NaN.  Spans and grids stay small so
 # that every accepted run is quick; a valid --mutate (exit 1 by design) and file
 # outputs are left out.
 FUZZ_POOLS = {
@@ -608,8 +613,9 @@ FUZZ_POOLS = {
         "mutate": ([UNSET], ["c4", "", 3, True, ["c1"]]),
     },
     "scan": {
-        "k": (["cosh(1)", "2+0.1*t", "2"], ["cosh(", "1", 5, None, "-h", "10^200*10^200", UNSET]),
-        "r": (["sinh(1)", "1", "0.5+0.1*t"], ["0", 2, True, UNSET]),
+        "k": (["cosh(1)", "2+0.1*t", "2", "10^100*(1+t)"],
+              ["cosh(", "1", 5, None, "-h", "10^200*10^200", UNSET]),
+        "r": (["sinh(1)", "1", "0.5+0.1*t", "5*10^99"], ["0", 2, True, UNSET]),
         "n": ([2, 3, "3", 10**9], [0, 1.5, True, "x", UNSET]),
         "signature": (["riemannian", "lorentzian", UNSET], ["both", 0]),
         "t": (["0:0.5", "0:1:0.25", "0:0", "1:0", "-0.5:0"],
@@ -681,7 +687,8 @@ def cli_inputs(draw):
 
 class TestFuzz:
     @settings(max_examples=150, deadline=None)
-    @given(cli_inputs())
+    @given(inputs=cli_inputs())
+    @example(inputs=(OVERFLOWS[-1], None))
     def test_every_input_ends_documented(self, tmp_path_factory, inputs):
         argv, config_text = inputs
         if config_text is not None:

@@ -1,10 +1,12 @@
 """Conversions, pointwise curvature vs the finite-difference oracle, scanning."""
 
+import csv
 import decimal
 import math
+import tracemalloc
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from folicurve import geometry
@@ -16,6 +18,7 @@ from folicurve.geometry import (
     LEAF_TOL,
     NotOnLeaf,
     ScanReport,
+    ScanRow,
     StepUnstable,
     SurfacePoint,
     constancy_scan,
@@ -215,6 +218,12 @@ class TestMeanCurvature:
         with pytest.raises(DegenerateNormal):
             mean_curvature_at(point, jet, 3, LORENTZIAN)
 
+    def test_kernel_overflow_raises(self):
+        # the kernels overflow to inf without raising, and inf/inf is NaN
+        jet = FoliationJet(t=0.0, k=1e100, k1=1e100, k2=0.0, r=5e99, r1=0.0, r2=0.0)
+        with pytest.raises(OverflowError, match=r"S\^2 = nan, H = nan"):
+            mean_curvature_at(leaf_points(jet, 3, 1)[0], jet, 3, RIEMANNIAN)
+
 
 class TestFiniteDifferenceOracle:
     def test_cylinder_agreement(self):
@@ -356,8 +365,18 @@ class TestConstancyScan:
         with pytest.raises(InvalidSphere):
             constancy_scan(profile, (0.0, 1.0), 3, RIEMANNIAN, 3)
 
+    def test_dkdt_overflow_names_t(self):
+        # k k' overflows to inf while k^2 stays finite
+        profile = ProfileFunctions.from_strings("10^150 + 10^200*t", "1")
+        with pytest.raises(OverflowError, match="t=0.0") as info:
+            constancy_scan(profile, (0.0, 1.0), 3, RIEMANNIAN, 2)
+        assert str(info.value.__cause__) == "dK/dt = inf"
+
+    def test_mean_is_summed_left_to_right(self):
+        # the same bits on every Python: 3.12's compensated sum() gives 1.0 here
+        assert geometry._sum([1e16, 1.0, -1e16]) == 0.0
+
     def test_serialization(self, tmp_path):
-        import csv
         import json
 
         report = constancy_scan(cylinder_profile(), (0.0, 0.5), 3, RIEMANNIAN, 4)
@@ -369,3 +388,66 @@ class TestConstancyScan:
             rows = list(csv.reader(handle))
         assert rows[0] == ["t", "x_n", "H", "dKdt", "spacelike"]
         assert len(rows) == 33
+
+
+def csv_writer_reference(rows, path) -> None:
+    """The scan CSV as `csv.writer` writes it, the byte contract of `to_csv`."""
+    with open(path, "w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "x_n", "H", "dKdt", "spacelike"])
+        for row in rows:
+            writer.writerow([
+                repr(row.t),
+                repr(row.x_n),
+                "" if row.H is None else repr(row.H),
+                repr(row.dKdt),
+                "" if row.spacelike is None else str(row.spacelike).lower(),
+            ])
+
+
+def report_of(rows) -> ScanReport:
+    return ScanReport(signature="riemannian", n=3, t_start=0.0, t_end=1.0, leaves=1,
+                      points_per_leaf=len(rows), mean_H=None, max_dev=None, max_dKdt=0.0,
+                      spacelike_fraction=None, rows=rows)
+
+
+CSV_FLOATS = st.floats() | st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2e-308])
+
+
+@st.composite
+def scan_rows(draw) -> list:
+    """Rows leaf by leaf, each leaf sharing its t and dK/dt float objects; a
+    split leaf alternates between the distinct dK/dt objects 0.0 and -0.0."""
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        t = draw(CSV_FLOATS)
+        dkdts = [0.0, -0.0] if draw(st.booleans()) else [draw(CSV_FLOATS)]
+        for j in range(draw(st.integers(1, 8))):
+            rows.append(ScanRow(t, draw(CSV_FLOATS), draw(st.none() | CSV_FLOATS),
+                                dkdts[j % len(dkdts)], draw(st.sampled_from([True, False, None]))))
+    return rows
+
+
+class TestScanCsv:
+    @settings(max_examples=200, deadline=None)
+    @given(rows=scan_rows())
+    @example(rows=[ScanRow(1.0, 2.0, None, 0.0, None), ScanRow(1.0, 2.5, -0.0, -0.0, False)])
+    def test_bytes_match_csv_writer(self, tmp_path_factory, rows):
+        base = tmp_path_factory.getbasetemp()
+        csv_writer_reference(rows, base / "reference.csv")
+        report_of(rows).to_csv(str(base / "scan.csv"))
+        assert (base / "scan.csv").read_bytes() == (base / "reference.csv").read_bytes()
+
+    def test_writer_streams(self, tmp_path):
+        # memory during the write stays far below the size of the file text
+        rows = [ScanRow(i / 8, 1.0 + i / 7, i / 3, -i / 9, None) for i in range(20000)]
+        report, path = report_of(rows), tmp_path / "scan.csv"
+        tracemalloc.start()
+        try:
+            report.to_csv(str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000 and peak < size / 10
