@@ -153,7 +153,7 @@ def cmd_scan(args: types.SimpleNamespace) -> int:
             profile, args.t[:2], args.n, GeometrySignature.from_label(args.signature),
             args.samples, points_per_leaf=args.points_per_leaf,
         )
-    except exprlang.ParseError as err:
+    except (exprlang.ParseError, RecursionError) as err:
         print(f"expression error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, ArithmeticError) as err:

@@ -5,11 +5,13 @@ The hypersurface is the zero set of
 inside (upper half-space hyperbolic n-space) x R carrying ds^2 + eps dt^2.
 With the orientation N = -grad f/|grad f| one has  n H = -div(grad f/|grad f|).
 
-This module rebuilds -nH*S^3 (S = |grad f|/2, reduced to the level set) from
-first principles as an exact polynomial, and checks it against the closed-form
-cubic bracket c3*X^3 + c2*X^2 + c1*X whose square drives the rigidity
-conclusions: the degree-0 coefficient forces  n^2 H^2 (r r' - k k')^6 = 0  and
-the degree-2 coefficient forces  k (n-2) (r r' - k k')^2 = 0.
+This module rebuilds P = -nH*S^3 (S = |grad f|/2, reduced to the level set)
+from first principles as an exact polynomial, and proves P = s*Q for one global
+sign s = +-1, Q the closed-form cubic bracket c3*X^3 + c2*X^2 + c1*X.  That
+gives the squared identity P^2 = Q^2 that drives the rigidity conclusions: the
+degree-0 coefficient forces  n^2 H^2 (r r' - k k')^6 = 0  and the degree-2
+coefficient forces  k (n-2) (r r' - k k')^2 = 0.  A failing report carries the
+residual P^2 - Q^2.
 """
 
 from __future__ import annotations
@@ -159,7 +161,8 @@ def neg_nH_S3(sig: GeometrySignature) -> SymExpr:
     density = rational(-1) * NU * x_pow(-1) * w_normal * s2
 
     total = (tangential + normal + vertical + density).reduce_level_set()
-    assert Indeterminate.SIG not in total.indeterminates()
+    if Indeterminate.SIG in total.indeterminates():
+        raise IdentityViolation(f"SIG survives the level-set reduction ({sig.label})")
     return total
 
 
@@ -190,11 +193,13 @@ def bracket_cubic(sig: GeometrySignature) -> CubicCoefficients:
 def verify_squared_identity(
     sig: GeometrySignature, bracket: CubicCoefficients | None = None
 ) -> VerificationReport:
-    """Check P^2 = Q^2 exactly, P the divergence expansion, Q the cubic.
+    """Prove P = s*Q exactly for one global sign s = +-1, P the divergence
+    expansion, Q the cubic; this gives P^2 = Q^2.
 
-    Also resolves the global sign s with P = s*Q (orientation N = -grad f/|grad f|
-    only fixes it implicitly).  Raises IdentityViolation with the residual on
-    any mismatch, e.g. for a mutated or mistranscribed bracket.
+    The report carries s (orientation N = -grad f/|grad f| only fixes it
+    implicitly).  If neither sign matches, raises IdentityViolation whose
+    report carries the residual P^2 - Q^2, e.g. for a mutated or
+    mistranscribed bracket.
     """
     start = time.perf_counter()
     lemma = jet_A().d_dt() + jet_B()
@@ -203,18 +208,11 @@ def verify_squared_identity(
 
     p = neg_nH_S3(sig)
     q = (bracket or bracket_cubic(sig)).assemble()
-    residual = p * p - q * q
+    sign = 1 if p == q else -1 if p == -q else None
     elapsed = (time.perf_counter() - start) * 1000.0
-    if not residual.is_zero:
-        report = VerificationReport(sig.label, False, None, residual.to_text(), elapsed)
+    if sign is None:
+        report = VerificationReport(sig.label, False, None, (p * p - q * q).to_text(), elapsed)
         raise IdentityViolation(f"{sig.label} identity violated", report)
-    if (p - q).is_zero:
-        sign = 1
-    elif (p + q).is_zero:
-        sign = -1
-    else:  # impossible over an integral domain once P^2 = Q^2
-        report = VerificationReport(sig.label, False, None, (p - q).to_text(), elapsed)
-        raise IdentityViolation(f"{sig.label} has no global sign", report)
     return VerificationReport(sig.label, True, sign, "0", elapsed)
 
 

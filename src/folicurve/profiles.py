@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .geometry import DegenerateNormal, ScanReport, StepUnstable, constancy_scan
-from .identity import (GeometrySignature, InvalidSphere, RIEMANNIAN, bracket_cubic,
-                       verify_squared_identity)
+from .identity import (GeometrySignature, IdentityViolation, InvalidSphere, RIEMANNIAN,
+                       bracket_cubic, verify_squared_identity)
 from .symexpr import KAP1, RHO, RHO1, RHO2, Indeterminate, SymExpr
 
 R_MIN = 1e-6
@@ -74,7 +74,7 @@ def _ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr]:
     verify_squared_identity(sig)
     cubic = bracket_cubic(sig)
     if not apply_rotational_constraint(cubic.c2).is_zero:
-        raise AssertionError(f"c2 does not vanish under the rotational constraint ({sig.label})")
+        raise IdentityViolation(f"c2 does not vanish under the rotational constraint ({sig.label})")
     lead = cubic.c3.coeff_of(Indeterminate.KAP2, 1)
     rest = cubic.c3.coeff_of(Indeterminate.KAP2, 0)
     return lead, rest

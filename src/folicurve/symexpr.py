@@ -187,8 +187,9 @@ class SymExpr:
         while power:
             if power & 1:
                 result = result * base
-            base = base * base
             power >>= 1
+            if power:
+                base = base * base
         return result
 
     # -- calculus ----------------------------------------------------------

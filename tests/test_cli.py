@@ -247,6 +247,8 @@ class TestBadInput:
             ["convert", "--k", "1.7e308", "--r", "1e308"],
             ["convert", "--K", "1e306", "--R", "10"],
             ["convert", "--k", "1e-320", "--r", "5e-321"],
+            ["scan", "--k", "(" * 2000 + "t+2" + ")" * 2000, "--r", "1", "--n", "3", "--t", "0:1"],
+            ["scan", "--k", "2" + "+t" * 2000, "--r", "1", "--n", "3", "--t", "0:1"],
             *OVERFLOWS,
         ],
         ids=[
@@ -263,7 +265,7 @@ class TestBadInput:
             "verify-unknown-flag", "verify-missing-value", "verify-positional",
             "scan-k-dash-h-is-a-value", "no-command", "unknown-command",
             "scan-infinite-center", "convert-K-nan", "convert-k-overflow", "convert-K-underflow",
-            *OVERFLOW_IDS,
+            "scan-deep-parentheses", "scan-long-sum", *OVERFLOW_IDS,
         ],
     )
     def test_exit_two_with_one_line(self, argv, capsys):
@@ -602,7 +604,8 @@ UNSET = object()  # the option is neither a flag nor in the config file
 
 # (good, bad) value pools per option.  Bad values are wrong JSON types, bools,
 # NaN/inf, out-of-range numbers, missing required options, "-h" (a value after
-# its flag, never a request for help) and requests the row cap must refuse.
+# its flag, never a request for help), an expression nested past Python's
+# recursion limit and requests the row cap must refuse.
 # Good t-ranges include one that starts with "-", and the good k and r
 # include a pair whose kernels overflow to NaN.  Spans and grids stay small so
 # that every accepted run is quick; a valid --mutate (exit 1 by design) and file
@@ -614,7 +617,8 @@ FUZZ_POOLS = {
     },
     "scan": {
         "k": (["cosh(1)", "2+0.1*t", "2", "10^100*(1+t)"],
-              ["cosh(", "1", 5, None, "-h", "10^200*10^200", UNSET]),
+              ["cosh(", "1", 5, None, "-h", "10^200*10^200", "(" * 2000 + "t+2" + ")" * 2000,
+               UNSET]),
         "r": (["sinh(1)", "1", "0.5+0.1*t", "5*10^99"], ["0", 2, True, UNSET]),
         "n": ([2, 3, "3", 10**9], [0, 1.5, True, "x", UNSET]),
         "signature": (["riemannian", "lorentzian", UNSET], ["both", 0]),

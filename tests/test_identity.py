@@ -1,5 +1,6 @@
 """Divergence pipeline vs the closed-form cubic, both signatures."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -169,6 +170,52 @@ class TestVerification:
         )
         with pytest.raises(IdentityViolation):
             verify_squared_identity(LORENTZIAN, bracket=flipped)
+
+    @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
+    def test_negated_bracket_has_sign_minus_one(self, sig):
+        cubic = bracket_cubic(sig)
+        negated = CubicCoefficients(c3=-cubic.c3, c2=-cubic.c2, c1=-cubic.c1)
+        report = verify_squared_identity(sig, bracket=negated)
+        assert report.passed and report.sign == -1 and report.residual_text == "0"
+
+    @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
+    def test_success_forms_no_squares(self, sig, monkeypatch):
+        p = neg_nH_S3(sig)
+        q = bracket_cubic(sig).assemble()
+        multiply = SymExpr.__mul__
+        operands = []
+
+        def recording(a, b):
+            operands.append((a, b))
+            return multiply(a, b)
+
+        monkeypatch.setattr(SymExpr, "__mul__", recording)
+        assert verify_squared_identity(sig).passed
+        monkeypatch.undo()
+        assert operands  # the recorder saw the cubic being assembled
+        assert not any(a == b and a in (p, q) for a, b in operands)
+
+    @given(
+        which=st.sampled_from(["c1", "c2", "c3"]),
+        coeff=st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        exps=st.dictionaries(
+            st.sampled_from([KAP, KAP1, KAP2, RHO, RHO1, RHO2, NU]),
+            st.integers(min_value=1, max_value=2),
+            max_size=3,
+        ),
+        sig=st.sampled_from(BOTH),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_failure_report_carries_squared_residual(self, which, coeff, exps, sig):
+        monomial = rational(coeff.numerator, coeff.denominator)
+        for gen, e in exps.items():
+            monomial = monomial * gen ** e
+        cubic = bracket_cubic(sig)
+        mutated = dataclasses.replace(cubic, **{which: getattr(cubic, which) + monomial})
+        with pytest.raises(IdentityViolation) as info:
+            verify_squared_identity(sig, bracket=mutated)
+        p, q = neg_nH_S3(sig), mutated.assemble()
+        assert info.value.report.residual_text == (p * p - q * q).to_text()
 
     def test_report_json_contract(self):
         payload = json.loads(verify_squared_identity(RIEMANNIAN).to_json())

@@ -11,7 +11,7 @@ import hypothesis.strategies as st
 
 from folicurve import profiles
 from folicurve.geometry import constancy_scan
-from folicurve.identity import LORENTZIAN, RIEMANNIAN, bracket_cubic
+from folicurve.identity import LORENTZIAN, RIEMANNIAN, IdentityViolation, bracket_cubic
 from folicurve.profiles import (
     DegenerateNormal,
     HermiteProfile,
@@ -20,13 +20,14 @@ from folicurve.profiles import (
     RotationalProfile,
     StepUnstable,
     ValidationFailed,
+    _ode_form,
     admissibility_factor,
     apply_rotational_constraint,
     cmc_rhs,
     integrate_profile,
     validate_profile,
 )
-from folicurve.symexpr import Indeterminate
+from folicurve.symexpr import KAP, RHO, Indeterminate
 
 BOTH = (RIEMANNIAN, LORENTZIAN)
 
@@ -54,6 +55,20 @@ class TestRotationalConstraintLemma:
     @pytest.mark.parametrize("sig", BOTH)
     def test_c3_does_not_vanish(self, sig):
         assert not apply_rotational_constraint(bracket_cubic(sig).c3).is_zero
+
+    @pytest.mark.parametrize("sig", BOTH)
+    def test_failed_lemma_is_identity_violation(self, sig, monkeypatch):
+        def broken(sig):
+            cubic = bracket_cubic(sig)
+            return dataclasses.replace(cubic, c2=cubic.c2 + KAP * RHO ** 2)
+
+        monkeypatch.setattr(profiles, "bracket_cubic", broken)
+        _ode_form.cache_clear()
+        try:
+            with pytest.raises(IdentityViolation, match="c2 does not vanish"):
+                _ode_form(sig)
+        finally:
+            _ode_form.cache_clear()
 
 
 class TestCmcRhs:

@@ -86,6 +86,35 @@ class TestRingOperations:
         with pytest.raises(ValueError):
             X ** -1
 
+    @given(sym_exprs())
+    @settings(max_examples=10, deadline=None)
+    def test_pow_matches_square_and_multiply(self, p):
+        def reference(base, power):
+            # square-and-multiply that squares once per bit, the last one included
+            result = ONE
+            while power:
+                if power & 1:
+                    result = result * base
+                base = base * base
+                power >>= 1
+            return result
+
+        multiply = SymExpr.__mul__
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return multiply(a, b)
+
+        for e in range(13):
+            expected = list(reference(p, e).terms())
+            calls.clear()
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(SymExpr, "__mul__", counting)
+                power = p ** e
+            assert list(power.terms()) == expected
+            assert len(calls) == max(e.bit_length() - 1, 0) + bin(e).count("1")
+
     @given(sym_exprs(), sym_exprs(), sym_exprs())
     @settings(max_examples=60)
     def test_ring_axioms(self, a, b, c):
