@@ -57,6 +57,7 @@ def _checked(kind: type, accept: Callable[[Any], bool] | None,
 
 
 _text = _checked(str, None, "a string")
+_path = _checked(str, bool, "a non-empty path")
 _switch = _checked(bool, None, "true or false")
 
 
@@ -79,12 +80,13 @@ def _real(flag: str, value) -> float:
 
 
 def _t_range(flag: str, text, default_step: float | None = None) -> tuple:
-    """'a:b' or 'a:b:step' -> (t0, t1, step); without a step, `default_step`."""
+    """'a:b' -> (t0, t1, default_step); given a default_step, also 'a:b:step' -> (t0, t1, step)."""
+    forms = "'a:b' or 'a:b:step'" if default_step else "'a:b' (--samples sets the leaf count)"
     if not isinstance(text, str):
-        raise ValueError(f"t-range must be a string 'a:b' or 'a:b:step', got {text!r}")
+        raise ValueError(f"t-range must be a string {forms}, got {text!r}")
     pieces = text.split(":")
-    if len(pieces) not in (2, 3):
-        raise ValueError(f"t-range must be 'a:b' or 'a:b:step', got {text!r}")
+    if len(pieces) not in ((2, 3) if default_step else (2,)):
+        raise ValueError(f"t-range must be {forms}, got {text!r}")
     try:
         numbers = [float(piece) for piece in pieces]
     except ValueError:
@@ -96,17 +98,6 @@ def _t_range(flag: str, text, default_step: float | None = None) -> tuple:
     if step is not None and not (math.isfinite(step) and step > 0):
         raise ValueError(f"t-range step must be finite and positive, got {text!r}")
     return t0, t1, step
-
-
-def _scan_leaves(settings: dict) -> int:
-    """Default leaf count of a scan: one per --t step, both ends included, else 50."""
-    t0, t1, step = settings["t"]
-    if step is None:
-        return 50
-    count = abs(t1 - t0) / step
-    if not math.isfinite(count):
-        raise ValueError(f"t-range step {step!r} is too small to count the leaves of {t0!r}:{t1!r}")
-    return int(round(count)) + 1
 
 
 def _too_many(what: str, **factors: int | float) -> bool:
@@ -213,7 +204,6 @@ def cmd_generate(args: types.SimpleNamespace) -> int:
             H=args.H,
             n=args.n,
             sig=GeometrySignature.from_label(args.signature),
-            sign_branch=args.sign_branch,
         )
     except (ValueError, ArithmeticError) as err:
         print(f"integration rejected: {err}", file=sys.stderr)
@@ -274,8 +264,7 @@ def cmd_convert(args: types.SimpleNamespace) -> int:
 def _commands() -> dict[str, tuple]:
     """Each subcommand's (help, handler, options).  An option is (name,
     converter, default, help): `converter(flag, value)` checks a flag's text
-    or a config value; the default is REQUIRED, a value, or a function of the
-    converted settings."""
+    or a config value; the default is REQUIRED or a value."""
     return {
         "verify": ("verify the squared curvature identities", cmd_verify, (
             ("signature", _choice("riemannian", "lorentzian", "both"), "both",
@@ -288,12 +277,12 @@ def _commands() -> dict[str, tuple]:
             ("r", _text, REQUIRED, "radius expression r(t)"),
             ("n", _integer(2), REQUIRED, None),
             ("signature", _choice("riemannian", "lorentzian"), "riemannian", None),
-            ("t", _t_range, REQUIRED, "t-range a:b or a:b:step"),
-            ("samples", _integer(1), _scan_leaves, "leaves (default: one per --t step, else 50)"),
+            ("t", _t_range, REQUIRED, "t-range a:b"),
+            ("samples", _integer(1), 50, "leaves (default 50)"),
             ("points_per_leaf", _integer(1), geometry.POINTS_PER_LEAF, None),
             ("cmc_tol", _real, 1e-6, None),
-            ("out_csv", _text, None, None),
-            ("out_json", _text, None, None),
+            ("out_csv", _path, None, None),
+            ("out_json", _path, None, None),
         )),
         "generate": ("integrate a rotational CMC profile", cmd_generate, (
             ("n", _integer(2), REQUIRED, None),
@@ -304,12 +293,11 @@ def _commands() -> dict[str, tuple]:
             ("t", functools.partial(_t_range, default_step=1e-3), REQUIRED,
              "t-range a:b or a:b:step (default step 1e-3)"),
             ("signature", _choice("riemannian", "lorentzian"), "riemannian", None),
-            ("sign_branch", _choice(-1, 1), -1, None),
             ("validate", _switch, False, None),
             ("samples", _integer(1), 50, "validation leaves"),
-            ("out_csv", _text, None, None),
-            ("out_json", _text, None, None),
-            ("off", _text, None, "OFF mesh path (n = 2 only)"),
+            ("out_csv", _path, None, None),
+            ("out_json", _path, None, None),
+            ("off", _path, None, "OFF mesh path (n = 2 only)"),
             ("off_segments", _integer(3), 48, None),
         )),
         "convert": ("Euclidean <-> hyperbolic center/radius", cmd_convert,
@@ -318,7 +306,7 @@ def _commands() -> dict[str, tuple]:
 
 
 _HELP = ("-h", "--help")
-_CONFIG = ("config", _text, None, "JSON object of option values; flags win")
+_CONFIG = ("config", _path, None, "JSON object of option values; flags win")
 
 
 def _read_argv(commands: dict, argv: list[str]) -> tuple[str | None, dict | None]:
@@ -370,9 +358,9 @@ def _help(commands: dict, command: str | None) -> str:
 
 def _read_config(path: str | None, names) -> dict:
     """The values of a --config JSON object, whose keys must be in `names`."""
-    if not path:
+    if path is None:
         return {}
-    with open(path) as handle:
+    with open(_path("--config", path)) as handle:
         config = json.load(handle)
     if not isinstance(config, dict):
         raise ValueError(f"{path} must hold a JSON object, got {type(config).__name__}")
@@ -408,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
             if name not in settings:
                 if default is REQUIRED:
                     raise ValueError(f"{_flag(name)} is required for {command} (flag or config)")
-                settings[name] = default(settings) if callable(default) else default
+                settings[name] = default
     except ValueError as err:
         print(err, file=sys.stderr)
         return EXIT_INPUT

@@ -2,10 +2,11 @@
 
 A rotational profile keeps the hyperbolic center fixed at height K, so
 k = sqrt(K^2 + r^2) and k k' = r r' identically.  Under that constraint the
-quadratic and linear bracket coefficients vanish and the cubic coefficient
-alone carries the curvature:  sign_branch * n H * F^{3/2} = c3,  with
-F = r^2 + k'^2 (Riemannian) or k'^2 - r^2 (Lorentzian, positive exactly on
-spacelike leaves).  c3 is linear in k'', which is how r'' is recovered.
+quadratic and linear bracket coefficients vanish, S^2 = X^2 F, and the cubic
+coefficient alone carries the curvature:  -s n H * F^{3/2} = c3,  with s the
+verified global sign of P = s Q and F = r^2 + k'^2 (Riemannian) or
+k'^2 - r^2 (Lorentzian, positive exactly on spacelike leaves).  c3 is linear
+in k'', which is how r'' is recovered.
 
 The ODE right-hand side is never transcribed by hand: it is obtained by
 splitting the verified symbolic c3 into its k''-linear part at first use.
@@ -22,12 +23,13 @@ from functools import lru_cache
 
 from .geometry import DegenerateNormal, ScanReport, StepUnstable, constancy_scan
 from .identity import (GeometrySignature, IdentityViolation, InvalidSphere, RIEMANNIAN,
-                       bracket_cubic, verify_squared_identity)
-from .symexpr import KAP1, RHO, RHO1, RHO2, Indeterminate, SymExpr
+                       bracket_cubic, s_squared_reduced, verify_squared_identity)
+from .symexpr import KAP1, RHO, RHO1, RHO2, X, Indeterminate, SymExpr, rational
 
 R_MIN = 1e-6
 STEP_ERROR_LIMIT = 1e-8
 DKDT_LIMIT = 1e-8
+H_TOL = 1e-5  # largest |H - H_target| the closed loop accepts
 
 
 class ValidationFailed(ValueError):
@@ -68,16 +70,20 @@ def apply_rotational_constraint(p: SymExpr) -> SymExpr:
 
 
 @lru_cache(maxsize=None)
-def _ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr]:
-    """(k''-coefficient, remainder) of the verified cubic c3; gates on the
-    squared identity and on the rotational c2-vanishing lemma."""
-    verify_squared_identity(sig)
+def _ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr, int]:
+    """(k''-coefficient, remainder) of the verified cubic c3 and the branch -s
+    of -s n H F^{3/2} = c3; gates on the squared identity, the rotational
+    c2-vanishing lemma and S^2 = X^2 F, the admissibility factor's source."""
+    branch = -verify_squared_identity(sig).sign
     cubic = bracket_cubic(sig)
     if not apply_rotational_constraint(cubic.c2).is_zero:
         raise IdentityViolation(f"c2 does not vanish under the rotational constraint ({sig.label})")
+    factor = rational(sig.epsilon) * RHO ** 2 + KAP1 ** 2
+    if apply_rotational_constraint(s_squared_reduced(sig)) != X ** 2 * factor:
+        raise IdentityViolation(f"S^2 is not X^2 F under the rotational constraint ({sig.label})")
     lead = cubic.c3.coeff_of(Indeterminate.KAP2, 1)
     rest = cubic.c3.coeff_of(Indeterminate.KAP2, 0)
-    return lead, rest
+    return lead, rest, branch
 
 
 def admissibility_factor(r: float, k1: float, sig: GeometrySignature) -> float:
@@ -91,17 +97,15 @@ def cmc_rhs(
     H: float,
     n: int,
     sig: GeometrySignature,
-    sign_branch: int = -1,
 ) -> float:
-    """r'' from sign_branch * n H * F^{3/2} = c3 with the k-jet eliminated.
+    """r'' from -s n H * F^{3/2} = c3 with the k-jet eliminated.
 
-    sign_branch = -1 matches the orientation N = -grad f/|grad f| (a generated
-    profile then measures H equal to the target); +1 generates the mirror.
+    The branch -s comes from the verified identity P = s Q, so a generated
+    profile measures H equal to the target under the orientation
+    N = -grad f/|grad f|; the mirror orientation is the target -H.
     """
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
-    if sign_branch not in (-1, 1):
-        raise ValueError("sign_branch must be +1 or -1")
     if r <= 1e-12:
         raise InvalidSphere(f"r = {r}")
     k = math.hypot(K, r)
@@ -109,14 +113,14 @@ def cmc_rhs(
     factor = admissibility_factor(r, k1, sig)
     if sig is not RIEMANNIAN and factor <= 0:
         raise DegenerateNormal(f"k'^2 - r^2 = {factor} at r={r}, r'={r1}")
-    lead_expr, rest_expr = _ode_form(sig)
+    lead_expr, rest_expr, branch = _ode_form(sig)
     # dense bindings in Indeterminate order: X, KAP, KAP1, KAP2, RHO, RHO1, RHO2, SIG, NU
     bindings = [None, k, k1, None, r, r1, None, None, float(n)]
     lead = lead_expr.eval_numeric(bindings)  # = -r^2
     if abs(lead) < 1e-24:
         raise InvalidSphere(f"lead coefficient {lead} at r={r}")
     rest = rest_expr.eval_numeric(bindings)
-    target = sign_branch * n * H * factor * math.sqrt(factor)
+    target = branch * n * H * factor * math.sqrt(factor)
     k2 = (target - rest) / lead
     return (k * k2 + k1 * k1 - r1 * r1) / r
 
@@ -180,7 +184,6 @@ def integrate_profile(
     H: float,
     n: int,
     sig: GeometrySignature,
-    sign_branch: int = -1,
 ) -> RotationalProfile:
     """Classical fixed-step RK4 on (r, r') with a step-doubling error monitor.
 
@@ -197,7 +200,7 @@ def integrate_profile(
         raise ValueError("empty integration range")
 
     def rhs(y: tuple[float, float]) -> tuple[float, float]:
-        return y[1], cmc_rhs(y[0], y[1], K, H, n, sig, sign_branch)
+        return y[1], cmc_rhs(y[0], y[1], K, H, n, sig)
 
     def rk4(y: tuple[float, float], h: float, k1: tuple[float, float]) -> tuple[float, float]:
         k2 = rhs((y[0] + 0.5 * h * k1[0], y[1] + 0.5 * h * k1[1]))
@@ -360,9 +363,7 @@ class HermiteProfile:
         return k, k1, k2, r, r1, r2
 
 
-def validate_profile(
-    profile: RotationalProfile, samples: int = 50, tol: float = 1e-5
-) -> ScanReport:
+def validate_profile(profile: RotationalProfile, samples: int = 50) -> ScanReport:
     """Closed loop: rescan the interpolated profile and check H against the target.
 
     Scans at least one leaf per stored row so a fault at any single node is
@@ -381,9 +382,9 @@ def validate_profile(
         dev = abs(row.H - profile.H_target)
         if dev > worst_dev:
             worst_t, worst_dev = row.t, dev
-    if worst_dev > tol:
+    if worst_dev > H_TOL:
         raise ValidationFailed(
-            f"|H - H_target| = {worst_dev} at t={worst_t} exceeds {tol}"
+            f"|H - H_target| = {worst_dev} at t={worst_t} exceeds {H_TOL}"
         )
     if report.max_dKdt > DKDT_LIMIT:
         raise ValidationFailed(f"max |dK/dt| = {report.max_dKdt} exceeds {DKDT_LIMIT}")

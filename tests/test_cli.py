@@ -132,12 +132,14 @@ class TestScan:
         assert json.loads(out)["leaves"] == 50
 
     def test_t_range_with_step(self, capsys):
-        code, out, _ = run(
+        # a scan's leaf count has one spelling, --samples
+        code, out, err = run(
             ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "2", "--t", "0:1:0.25"],
             capsys,
         )
-        assert code == 0
-        assert json.loads(out)["leaves"] == 5
+        assert code == 2
+        assert out == ""
+        assert len(err.strip().splitlines()) == 1 and "--samples" in err
 
     def test_huge_dimension_scans(self, capsys):
         # a scan point is (x1, x_n) whatever n is, so its cost does not grow with n
@@ -222,12 +224,16 @@ class TestBadInput:
             ["generate", "--K", "1", "--n", "3", "--t=-1e308:1e308"],
             ["verify", "--signature", "foo"],
             ["generate", "--K", "1", "--n", "3", "--t", "0:0.1", "--sign-branch", "0"],
+            ["generate", "--K", "1", "--n", "3", "--t", "0:0.1", "--sign-branch", "1"],
             ["convert", "--k", "5"],
             ["convert", "--K", "1", "--R", "1000"],
             RESCAN + ["--r1", "0.5", "--H", "2"],
             SCAN + ["--n", "3", "--samples", "2", "--out-csv", "/nonexistent/x.csv"],
             SCAN + ["--n", "3", "--samples", "2", "--out-json", "/nonexistent/x.json"],
             ["generate", "--n", "2", "--K", "1", "--t", "0:0.01", "--off", "/nonexistent/m.off"],
+            SCAN + ["--n", "3", "--samples", "2", "--out-json", ""],
+            ["generate", "--n", "2", "--K", "1", "--t", "0:0.01", "--off", ""],
+            ["verify", "--config", ""],
             pytest.param(SCAN + ["--n", "3", "--samples", "2", "--out-csv", "/dev/full"],
                          marks=pytest.mark.skipif(not os.path.exists("/dev/full"),
                                                   reason="needs a full device")),
@@ -257,9 +263,11 @@ class TestBadInput:
             "generate-n0", "generate-n1", "generate-K-nan", "generate-H-inf",
             "convert-k-nan", "convert-R-inf", "scan-large-center", "scan-overflow",
             "scan-degenerate-normal", "scan-t-width-overflow", "generate-t-width-overflow",
-            "verify-signature-unknown", "generate-sign-branch-zero", "convert-half-pair",
-            "convert-R-overflow", "generate-integration-overflow", "scan-csv-unwritable",
-            "scan-json-unwritable", "generate-off-unwritable", "scan-csv-device-full",
+            "verify-signature-unknown", "generate-sign-branch-zero", "generate-sign-branch-one",
+            "convert-half-pair", "convert-R-overflow", "generate-integration-overflow",
+            "scan-csv-unwritable", "scan-json-unwritable", "generate-off-unwritable",
+            "scan-json-empty-path", "generate-off-empty-path", "verify-config-empty-path",
+            "scan-csv-device-full",
             "scan-t-not-numbers", "scan-prefix-samples", "scan-prefix-points",
             "generate-prefix-validate", "generate-switch-with-value", "scan-missing-value",
             "verify-unknown-flag", "verify-missing-value", "verify-positional",
@@ -312,11 +320,12 @@ class TestBadInput:
         assert "float overflow" in err and "t=" in err
 
     def test_leaf_count_overflow(self, capsys):
+        # a step whose leaf count would overflow is refused as a step, before counting
         code, out, err = run(["scan", "--k", "2", "--r", "1", "--n", "3", "--t", "0:1e308:1e-308"], capsys)
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1
-        assert err.startswith("t-range step 1e-308 is too small")
+        assert err.startswith("t-range must be 'a:b'") and "--samples" in err
 
     def test_t_range_not_numbers_names_option(self, capsys):
         code, _, err = run(["scan", "--k", "2", "--r", "1", "--n", "3", "--t", "a:b"], capsys)
@@ -340,7 +349,6 @@ class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "3", "--t", "0:1:1e-9"],
             ["scan", "--k", "cosh(1)", "--r", "sinh(1)", "--n", "3", "--t", "0:1",
              "--samples", "1000000", "--points-per-leaf", "1000000"],
             ["generate", "--K", "1", "--n", "3", "--t", "0:1:1e-300"],
@@ -350,7 +358,7 @@ class TestBadInput:
             ["generate", "--K", "1", "--n", "2", "--t", "0:0.01", "--off", "never.off",
              "--off-segments", "100000000"],
         ],
-        ids=["scan-tiny-step", "scan-huge-grid", "generate-tiny-step",
+        ids=["scan-huge-grid", "generate-tiny-step",
              "generate-long-range", "generate-huge-validation", "generate-huge-mesh"],
     )
     def test_row_cap_rejects_before_running(self, argv, no_run, capsys):
@@ -546,11 +554,13 @@ class TestConfig:
             (["scan", "--k", "2", "--r", "1", "--n", "3", "--t", "0:1"], {"samples": None}),
             (["generate", "--n", "3", "--t", "0:0.01"], {"K": 1e400}),
             (["generate", "--n", "3", "--K", "1", "--t", "0:0.01"], {"validate": "yes"}),
+            (["generate", "--n", "3", "--K", "1", "--t", "0:0.01"], {"sign_branch": 1}),
+            (["generate", "--n", "3", "--K", "1", "--t", "0:0.01"], {"out_csv": ""}),
         ],
         ids=["verify-signature", "scan-k-number", "verify-mutate-c4", "json-list",
              "generate-sign-branch-bool", "key-config", "key-func", "key-command",
              "scan-n-float", "scan-n-bool", "scan-samples-null", "generate-K-inf",
-             "generate-validate-string"],
+             "generate-validate-string", "generate-sign-branch", "generate-out-csv-empty"],
     )
     def test_bad_config_exit_two_with_one_line(self, argv, payload, tmp_path, capsys):
         code, out, err = run_with_config(argv, payload, tmp_path, capsys)
@@ -622,8 +632,9 @@ FUZZ_POOLS = {
         "r": (["sinh(1)", "1", "0.5+0.1*t", "5*10^99"], ["0", 2, True, UNSET]),
         "n": ([2, 3, "3", 10**9], [0, 1.5, True, "x", UNSET]),
         "signature": (["riemannian", "lorentzian", UNSET], ["both", 0]),
-        "t": (["0:0.5", "0:1:0.25", "0:0", "1:0", "-0.5:0"],
-              ["1e308:-1e308", "0:1:1e-9", "0:1:1e-300", "nan:1", 5, ["0:1"], "a:b", UNSET]),
+        "t": (["0:0.5", "0:0", "1:0", "-0.5:0"],
+              ["1e308:-1e308", "0:1:0.25", "0:1:1e-9", "0:1:1e-300", "nan:1", 5, ["0:1"], "a:b",
+               UNSET]),
         "samples": ([2, "3", UNSET], [0, -1, True, 1.5, 10**12]),
         "points_per_leaf": ([1, "2", UNSET], [0, True, 10**9]),
         "cmc_tol": ([1e-6, "1e-3", UNSET], ["nan", float("inf"), True, "abc", 10**400]),
@@ -637,7 +648,7 @@ FUZZ_POOLS = {
         "t": (["0:0.01", "0:0.02:0.005", "-0.01:0"],
               ["0:0", "0:1:0.5", "1e308:-1e308", "0:1:1e-300", "0:10000", 0.5, "-h", UNSET]),
         "signature": (["riemannian", "lorentzian", UNSET], ["both"]),
-        "sign_branch": ([-1, 1, "+1", UNSET], [0, True, "x"]),
+        "sign_branch": ([UNSET], [-1, 1, "+1", 0, True, "x"]),  # no longer an option
         "validate": ([True, False, UNSET], ["yes", 1]),
         "samples": ([2, "5", UNSET], [0, True, 10**8]),
         "off_segments": ([3, 16, UNSET], [2, True, 10**9]),

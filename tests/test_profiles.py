@@ -11,7 +11,8 @@ import hypothesis.strategies as st
 
 from folicurve import profiles
 from folicurve.geometry import constancy_scan
-from folicurve.identity import LORENTZIAN, RIEMANNIAN, IdentityViolation, bracket_cubic
+from folicurve.identity import (LORENTZIAN, RIEMANNIAN, IdentityViolation, bracket_cubic,
+                                s_squared_reduced, verify_squared_identity)
 from folicurve.profiles import (
     DegenerateNormal,
     HermiteProfile,
@@ -70,6 +71,17 @@ class TestRotationalConstraintLemma:
         finally:
             _ode_form.cache_clear()
 
+    @pytest.mark.parametrize("sig", BOTH)
+    def test_admissibility_factor_comes_from_s_squared(self, sig, monkeypatch):
+        monkeypatch.setattr(profiles, "s_squared_reduced",
+                            lambda sig: s_squared_reduced(sig) + KAP * RHO ** 2)
+        _ode_form.cache_clear()
+        try:
+            with pytest.raises(IdentityViolation, match=rf"S\^2 .*\({sig.label}\)"):
+                _ode_form(sig)
+        finally:
+            _ode_form.cache_clear()
+
 
 class TestCmcRhs:
     def test_minimal_worked_example(self):
@@ -83,10 +95,9 @@ class TestCmcRhs:
         assert cmc_rhs(r, 0.0, K, 0.0, n, RIEMANNIAN) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("sig", BOTH)
-    @pytest.mark.parametrize("sign_branch", [-1, 1])
-    def test_solves_its_own_equation(self, sig, sign_branch):
+    def test_solves_its_own_equation(self, sig):
         K, r, r1, H, n = 1.1, 0.8, 1.9 if sig is LORENTZIAN else 0.3, 0.6, 3
-        r2 = cmc_rhs(r, r1, K, H, n, sig, sign_branch)
+        r2 = cmc_rhs(r, r1, K, H, n, sig)
         k = math.hypot(K, r)
         k1 = r * r1 / k
         k2 = (r1 * r1 + r * r2 - k1 * k1) / k
@@ -101,13 +112,24 @@ class TestCmcRhs:
             }
         )
         factor = admissibility_factor(r, k1, sig)
-        residual = c3 - sign_branch * n * H * factor * math.sqrt(factor)
+        branch = -verify_squared_identity(sig).sign
+        residual = c3 - branch * n * H * factor * math.sqrt(factor)
         assert abs(residual) <= 1e-12
 
-    def test_branch_mirrors_target(self):
-        plus = cmc_rhs(1.0, 0.2, 1.0, 0.5, 3, RIEMANNIAN, sign_branch=1)
-        minus = cmc_rhs(1.0, 0.2, 1.0, -0.5, 3, RIEMANNIAN, sign_branch=-1)
-        assert plus == pytest.approx(minus, rel=1e-14)
+    def test_branch_mirrors_target(self, monkeypatch):
+        # the branch is the verified sign: the opposite sign solves for the target -H
+        mirror = cmc_rhs(1.0, 0.2, 1.0, -0.5, 3, RIEMANNIAN)
+
+        def flipped(sig):
+            report = verify_squared_identity(sig)
+            return dataclasses.replace(report, sign=-report.sign)
+
+        monkeypatch.setattr(profiles, "verify_squared_identity", flipped)
+        _ode_form.cache_clear()
+        try:
+            assert cmc_rhs(1.0, 0.2, 1.0, 0.5, 3, RIEMANNIAN) == mirror
+        finally:
+            _ode_form.cache_clear()
 
     def test_lorentzian_requires_spacelike_factor(self):
         with pytest.raises(DegenerateNormal):
@@ -275,7 +297,7 @@ class TestValidation:
 
     def test_cylinder_validates_tightly(self):
         profile = cylinder()
-        report = validate_profile(profile, samples=20, tol=1e-9)
+        report = validate_profile(profile, samples=20)
         assert max(abs(row.H - profile.H_target) for row in report.rows) < 1e-12
 
     def test_nonzero_target_dimension_two(self):
