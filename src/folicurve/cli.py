@@ -8,7 +8,8 @@ contain timestamps.
 Every library failure is a ValueError (bad input or data) or an
 ArithmeticError (a numeric breakdown), so each stage below catches that pair
 and prints one stderr line with exit 2; an output file that cannot be written
-does the same, with stdout left empty.  Only IdentityViolation exits 1.
+does the same, with stdout left empty.  Only IdentityViolation exits 1.  A
+closed stdout leaves the exit code as it was.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import sys
 import types
 from typing import Any, Callable
@@ -109,6 +111,18 @@ def _too_many(what: str, **factors: int | float) -> bool:
     return True
 
 
+def _print(text: str) -> None:
+    """Print a summary or help text to stdout.  A closed stdout (a reader that
+    quit early) is no failure of the run: stdout is pointed at os.devnull, so
+    nothing is reported at exit, and the command's own exit code stands."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _mutated_bracket(sig: GeometrySignature, which: str) -> identity.CubicCoefficients:
     """Fault-injection hook: perturb one bracket coefficient by KAP*RHO^2."""
     cubic = identity.bracket_cubic(sig)
@@ -131,7 +145,7 @@ def cmd_verify(args: types.SimpleNamespace) -> int:
                 print(str(violation), file=sys.stderr)
                 continue
         reports.append(json.loads(report.to_json()))
-    print(json.dumps(reports, indent=2))
+    _print(json.dumps(reports, indent=2))
     return status
 
 
@@ -157,7 +171,7 @@ def cmd_scan(args: types.SimpleNamespace) -> int:
             handle.write(report.to_json())
     summary = report.summary()
     summary["cmc"] = report.max_dev is not None and report.max_dev < args.cmc_tol
-    print(json.dumps(summary, indent=2))
+    _print(json.dumps(summary, indent=2))
     if report.mean_H is None:
         print("no admissible points in scan", file=sys.stderr)
         return EXIT_INADMISSIBLE
@@ -231,12 +245,12 @@ def cmd_generate(args: types.SimpleNamespace) -> int:
             report = profiles.validate_profile(profile, samples=args.samples)
         except (ValueError, ArithmeticError) as err:
             summary["validated"] = False
-            print(json.dumps(summary, indent=2))
+            _print(json.dumps(summary, indent=2))
             print(f"validation failed: {err}", file=sys.stderr)
             return EXIT_INPUT
         summary["validated"] = True
         summary["max_dKdt"] = report.max_dKdt
-    print(json.dumps(summary, indent=2))
+    _print(json.dumps(summary, indent=2))
     if profile.halted:
         return EXIT_INADMISSIBLE
     return EXIT_OK
@@ -257,7 +271,7 @@ def cmd_convert(args: types.SimpleNamespace) -> int:
     except (ValueError, ArithmeticError) as err:
         print(f"invalid sphere: {err}", file=sys.stderr)
         return EXIT_INPUT
-    print(json.dumps({"k": k, "r": r, "K": K, "R": R}, indent=2))
+    _print(json.dumps({"k": k, "r": r, "K": K, "R": R}, indent=2))
     return EXIT_OK
 
 
@@ -380,7 +394,7 @@ def main(argv: list[str] | None = None) -> int:
         print(err, file=sys.stderr)
         return EXIT_INPUT
     if flags is None:
-        print(_help(commands, command))
+        _print(_help(commands, command))
         return EXIT_OK
     _, run, options = commands[command]
     try:
@@ -402,7 +416,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return run(types.SimpleNamespace(**settings))
-    except OSError as err:  # outputs are written before the summary is printed
+    except OSError as err:  # data files are written before the summary is printed
         print(f"cannot write {err.filename or 'output'}: {err.strerror or err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -8,6 +8,12 @@ Grammar (recursive descent, standard precedence, left associative):
     base   := number | 't' | ident '(' expr ')' | ident | '(' expr ')'
     exponent := '-'? number | '(' '-'? number ('/' number)? ')'
 
+Tokens are ASCII: a number is digits 0-9 with an optional '.' and more digits
+(`2`, `0.25`, `3.`; exact), a name is `[A-Za-z_][A-Za-z0-9_]*`, an operator
+is one of `- + * / ^ ( )`, and whitespace (`str.isspace`) only separates
+tokens.  Any other character is a ParseError "unexpected character C" at its
+offset.
+
 Exponents are rational literals only, so differentiation stays total.  Bare
 identifiers are the named constants pi and e; function identifiers are
 exp, ln, sin, cos, sinh, cosh, tanh, sqrt.
@@ -22,6 +28,7 @@ error are those of the walk.  `ProfileFunctions` keeps one kernel for its
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -105,44 +112,27 @@ class Call(Expr):
     arg: Expr
 
 
-# -- tokenizer ----------------------------------------------------------------
+# -- tokenizer and parser ------------------------------------------------------
 
-_OPS = "+-*/^()"
+_TOKEN = re.compile(
+    r"(?P<NUM>[0-9]+(?:\.[0-9]*)?)|(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)|(?P<OP>[-+*/^()])|(?P<BAD>\S)"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPS:
-            tokens.append(("OP", ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j < n and text[j] == ".":
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
-            tokens.append(("NUM", text[i:j], i))
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("IDENT", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(("END", "", n))
+    for match in _TOKEN.finditer(text):  # whitespace matches no group and is skipped
+        token = (match.lastgroup, match.group(), match.start())
+        if token[0] == "BAD":
+            raise ParseError(f"unexpected character {token[1]!r}", token[2])
+        tokens.append(token)
+    tokens.append(("END", "", len(text)))
     return tokens
+
+
+def _unexpected(token: tuple[str, str, int], expected: tuple[str, ...]) -> ParseError:
+    _, value, offset = token
+    return ParseError(f"unexpected {value or 'end of input'!r}", offset, expected)
 
 
 class _Parser:
@@ -160,11 +150,17 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, value, offset = self.peek()
-        if kind == "OP" and value == op:
-            return self.advance()
-        raise ParseError(f"unexpected {value or 'end of input'!r}", offset, (repr(op),))
+    def accept(self, ops: str):
+        """Consume and return the next token if it is one of the operators `ops`."""
+        token = self.tokens[self.pos]
+        if token[0] == "OP" and token[1] in ops:
+            self.pos += 1
+            return token
+        return None
+
+    def expect_op(self, op: str) -> None:
+        if not self.accept(op):
+            raise _unexpected(self.peek(), (repr(op),))
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -175,100 +171,67 @@ class _Parser:
 
     def expr(self) -> Expr:
         node = self.term()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "OP" and value in "+-":
-                self.advance()
-                rhs = self.term()
-                node = Add(node, rhs) if value == "+" else Sub(node, rhs)
-            else:
-                return node
+        while op := self.accept("+-"):
+            node = (Add if op[1] == "+" else Sub)(node, self.term())
+        return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while True:
-            kind, value, _ = self.peek()
-            if kind == "OP" and value in "*/":
-                self.advance()
-                rhs = self.factor()
-                node = Mul(node, rhs) if value == "*" else Div(node, rhs)
-            else:
-                return node
+        while op := self.accept("*/"):
+            node = (Mul if op[1] == "*" else Div)(node, self.factor())
+        return node
 
     def factor(self) -> Expr:
-        kind, value, _ = self.peek()
-        if kind == "OP" and value == "-":
-            self.advance()
+        if self.accept("-"):
             return Neg(self.factor())
         node = self.base()
-        kind, value, _ = self.peek()
-        if kind == "OP" and value == "^":
-            self.advance()
-            node = Pow(node, self.exponent())
+        return Pow(node, self.exponent()) if self.accept("^") else node
+
+    def group(self) -> Expr:
+        """The rest of '(' expr ')' once its '(' is consumed."""
+        node = self.expr()
+        self.expect_op(")")
         return node
 
     def base(self) -> Expr:
-        kind, value, offset = self.peek()
+        if self.accept("("):
+            return self.group()
+        token = kind, value, offset = self.advance()
         if kind == "NUM":
-            self.advance()
             return Num(Fraction(value))
-        if kind == "IDENT":
-            self.advance()
-            if value == "t":
-                return TVar()
-            nkind, nvalue, _ = self.peek()
-            if nkind == "OP" and nvalue == "(":
-                if value not in FUNCTIONS:
-                    raise ParseError(f"unknown function {value!r}", offset, FUNCTIONS)
-                self.advance()
-                arg = self.expr()
-                self.expect_op(")")
-                return Call(value, arg)
-            if value in CONSTANTS:
-                return Const(value)
-            raise ParseError(f"unknown name {value!r}", offset, ("t",) + tuple(CONSTANTS))
-        if kind == "OP" and value == "(":
-            self.advance()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(
-            f"unexpected {value or 'end of input'!r}", offset,
-            ("number", "'t'", "function", "'('", "'-'"),
-        )
+        if kind != "IDENT":
+            raise _unexpected(token, ("number", "'t'", "function", "'('", "'-'"))
+        if value == "t":
+            return TVar()
+        if self.accept("("):
+            if value not in FUNCTIONS:
+                raise ParseError(f"unknown function {value!r}", offset, FUNCTIONS)
+            return Call(value, self.group())
+        if value in CONSTANTS:
+            return Const(value)
+        raise ParseError(f"unknown name {value!r}", offset, ("t",) + tuple(CONSTANTS))
 
     def _number(self) -> Fraction:
-        kind, value, offset = self.peek()
-        if kind != "NUM":
-            raise ParseError(f"unexpected {value or 'end of input'!r}", offset, ("number",))
-        self.advance()
-        return Fraction(value)
+        token = self.advance()
+        if token[0] != "NUM":
+            raise _unexpected(token, ("number",))
+        return Fraction(token[1])
+
+    def _signed(self) -> Fraction:
+        return -self._number() if self.accept("-") else self._number()
 
     def exponent(self) -> Fraction:
-        kind, value, offset = self.peek()
-        if kind == "OP" and value == "(":
-            self.advance()
-            negative = False
-            kind, value, _ = self.peek()
-            if kind == "OP" and value == "-":
-                self.advance()
-                negative = True
-            result = self._number()
-            kind, value, _ = self.peek()
-            if kind == "OP" and value == "/":
-                self.advance()
-                denom = self._number()
-                if denom == 0:
-                    raise ParseError("zero denominator in exponent", offset)
-                result /= denom
-            self.expect_op(")")
-            return -result if negative else result
-        negative = False
-        if kind == "OP" and value == "-":
-            self.advance()
-            negative = True
-        result = self._number()
-        return -result if negative else result
+        offset = self.peek()[2]
+        if not self.accept("("):
+            return self._signed()
+        result = self._signed()
+        if self.accept("/"):
+            denom = self._number()
+            if denom == 0:
+                raise ParseError("zero denominator in exponent", offset)
+            result /= denom
+        self.expect_op(")")
+        return result
 
 
 def parse(text: str) -> Expr:

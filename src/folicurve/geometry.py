@@ -171,7 +171,9 @@ def mean_curvature_at(
 
 
 def is_spacelike(p: SurfacePoint, jet: FoliationJet) -> bool:
-    """Lorentzian test: grad f timelike on the leaf, i.e. A^2 > x_n^2 r^2."""
+    """Lorentzian test: grad f timelike on the leaf, i.e. the Lorentzian
+    S^2 = A^2 - x_n^2 r^2 (the factored form `identity.s_squared_reduced`
+    checks) is positive."""
     _require_on_leaf(p, jet)
     a = vertical_slot(p, jet)
     q = a * a - (p.xn * jet.r) ** 2
@@ -366,6 +368,8 @@ def constancy_scan(
     values: list[float] = []
     max_dkdt = 0.0
     lorentzian = sig is not RIEMANNIAN
+    if lorentzian:
+        s_squared_reduced(sig)  # proves the factored S^2 that is_spacelike evaluates
 
     try:
         for t in ts:

@@ -137,8 +137,12 @@ def s_squared_unreduced(sig: GeometrySignature) -> SymExpr:
 
 @lru_cache(maxsize=None)
 def s_squared_reduced(sig: GeometrySignature) -> SymExpr:
-    """S^2 on the leaf: eps * X^2 r^2 + A^2."""
-    return s_squared_unreduced(sig).reduce_level_set()
+    """S^2 on the leaf, proved once equal to A^2 + eps * X^2 r^2: the factored
+    form that `geometry.is_spacelike` evaluates."""
+    s2 = s_squared_unreduced(sig).reduce_level_set()
+    if s2 != jet_A() ** 2 + rational(sig.epsilon) * X ** 2 * RHO ** 2:
+        raise IdentityViolation(f"S^2 on the leaf is not A^2 + eps x_n^2 r^2 ({sig.label})")
+    return s2
 
 
 @lru_cache(maxsize=None)

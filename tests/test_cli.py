@@ -117,6 +117,11 @@ class TestScan:
         assert code == 2
         assert "offset 5" in err
 
+    def test_non_ascii_character_is_an_expression_error(self, capsys):
+        code, out, err = run(["scan", "--k", "²", "--r", "1", "--n", "3", "--t", "0:1"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "expression error: unexpected character '²' at offset 0\n"
+
     def test_invalid_leaf_exit_two(self, capsys):
         code, _, err = run(
             ["scan", "--k", "1", "--r", "2", "--n", "3", "--t", "0:1"], capsys
@@ -795,3 +800,35 @@ class TestModuleEntry:
         )
         assert result.returncode == 0
         assert json.loads(result.stdout)["K"] == pytest.approx(4.0)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["verify"], 0),
+            (["verify", "--mutate", "c1"], 1),
+            (["scan", "--signature", "lorentzian", "--k", "cosh(1)", "--r", "sinh(1)",
+              "--n", "3", "--t", "0:1", "--samples", "3"], 3),
+            (["--help"], 0),
+        ],
+    )
+    def test_exit_code_stands(self, argv, code):
+        # stdout is a pipe whose reader is gone, as for `folicurve ... | head -0`
+        package_root = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            result = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "folicurve", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path},
+            )
+        finally:
+            os.close(write_end)
+        assert result.returncode == code
+        assert "Broken pipe" not in result.stderr
+        assert "Exception ignored" not in result.stderr

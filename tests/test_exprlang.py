@@ -76,6 +76,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse("   ")
 
+    @pytest.mark.parametrize("char", ["²", "①", "٣", "π", "é"])
+    @pytest.mark.parametrize("prefix", ["", "4", "2*t + ", "cosh(t"])
+    def test_non_ascii_character(self, prefix, char):
+        with pytest.raises(ParseError) as info:
+            parse(prefix + char + " + 1")
+        assert info.value.offset == len(prefix)
+        assert str(info.value) == f"unexpected character {char!r} at offset {len(prefix)}"
+
 
 class TestDifferentiate:
     def test_cosh(self):
@@ -150,7 +158,42 @@ def _safe_eval(e, t):
     return value
 
 
+def _source(e):
+    """Fully parenthesised text of a tree the parser can produce."""
+    if isinstance(e, Num):
+        places = next(k for k in range(64) if 10 ** k % e.value.denominator == 0)
+        digits = e.value.numerator * 10 ** places // e.value.denominator
+        return f"{digits // 10 ** places}.{digits % 10 ** places:0{places}d}" if places else str(digits)
+    if isinstance(e, TVar):
+        return "t"
+    if isinstance(e, Const):
+        return e.name
+    if isinstance(e, Neg):
+        return f"(-{_source(e.arg)})"
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        op = {Add: "+", Sub: "-", Mul: "*", Div: "/"}[type(e)]
+        return f"({_source(e.left)} {op} {_source(e.right)})"
+    if isinstance(e, Pow):
+        q = e.exponent
+        exponent = str(q.numerator) if q.denominator == 1 else f"({q.numerator}/{q.denominator})"
+        return f"({_source(e.base)}^{exponent})"
+    return f"{e.fn}({_source(e.arg)})"
+
+
+decimals = st.builds(lambda digits, places: Num(Fraction(digits, 10 ** places)),
+                     st.integers(0, 10 ** 6), st.integers(0, 4))
+parsed_trees = st.recursive(
+    st.one_of(decimals, st.just(TVar()), st.sampled_from([Const("pi"), Const("e")])),
+    _extend, max_leaves=10,
+)
+
+
 class TestProperties:
+    @given(parsed_trees)
+    @settings(max_examples=300, deadline=None)
+    def test_printed_tree_parses_back(self, e):
+        assert parse(_source(e)) == e
+
     @given(expressions, st.floats(min_value=0.1, max_value=0.9))
     @settings(max_examples=150, deadline=None)
     def test_finite_difference_matches_symbolic(self, e, t):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from folicurve import cli
+from folicurve import cli, identity
 from folicurve.identity import (
     CubicCoefficients,
     GeometrySignature,
@@ -65,6 +65,20 @@ class TestNormSquared:
     def test_cylinder_jet(self):
         reduced = substitute_cylinder(gradient_norm_sq(RIEMANNIAN).reduce_level_set())
         assert reduced == rational(4) * X ** 2 * RHO ** 2
+
+    @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
+    def test_reduced_s_squared_checks_its_factored_form(self, sig, monkeypatch):
+        unreduced = identity.s_squared_unreduced
+        monkeypatch.setattr(identity, "s_squared_unreduced",
+                            lambda sig: unreduced(sig) + KAP * RHO ** 2)
+        s_squared_reduced.cache_clear()
+        try:
+            with pytest.raises(IdentityViolation, match=sig.label):
+                s_squared_reduced(sig)
+        finally:
+            monkeypatch.undo()
+            s_squared_reduced.cache_clear()
+        assert s_squared_reduced(sig) == jet_A() ** 2 + rational(sig.epsilon) * X ** 2 * RHO ** 2
 
 
 class TestDivergenceExpansion:
