@@ -81,6 +81,14 @@ def _real(flag: str, value) -> float:
     return number
 
 
+def _positive(flag: str, value) -> float:
+    """A finite float > 0, read as `_real` reads it."""
+    number = _real(flag, value)
+    if number <= 0:
+        raise ValueError(f"{flag} must be a finite number > 0, got {value!r}")
+    return number
+
+
 def _t_range(flag: str, text, default_step: float | None = None) -> tuple:
     """'a:b' -> (t0, t1, default_step); given a default_step, also 'a:b:step' -> (t0, t1, step)."""
     forms = "'a:b' or 'a:b:step'" if default_step else "'a:b' (--samples sets the leaf count)"
@@ -294,7 +302,7 @@ def _commands() -> dict[str, tuple]:
             ("t", _t_range, REQUIRED, "t-range a:b"),
             ("samples", _integer(1), 50, "leaves (default 50)"),
             ("points_per_leaf", _integer(1), geometry.POINTS_PER_LEAF, None),
-            ("cmc_tol", _real, 1e-6, None),
+            ("cmc_tol", _positive, 1e-6, None),
             ("out_csv", _path, None, None),
             ("out_json", _path, None, None),
         )),

@@ -16,7 +16,9 @@ offset.
 
 Exponents are rational literals only, so differentiation stays total.  Bare
 identifiers are the named constants pi and e; function identifiers are
-exp, ln, sin, cos, sinh, cosh, tanh, sqrt.
+exp, ln, sin, cos, sinh, cosh, tanh, sqrt.  `_FUNCTION_TABLE` is the one
+place that spells a function: its float function, its derivative rule and its
+kernel's domain check, so adding a function takes one row.
 
 Float evaluation compiles trees once (`compile_exprs`) into a straight-line
 kernel that performs a recursive walk's operations and domain checks in the
@@ -48,7 +50,6 @@ class DomainError(ArithmeticError):
     """Evaluation left the expression's domain (log/sqrt/division)."""
 
 
-FUNCTIONS = ("exp", "ln", "sin", "cos", "sinh", "cosh", "tanh", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
@@ -300,6 +301,33 @@ def _pow(base: Expr, q: Fraction) -> Expr:
     return Pow(base, q)
 
 
+# name -> (float function, d/dt f(u) from u and du, the kernel's domain check
+# on u as (condition, message) or None).  The order is the parser's list.
+_FUNCTION_TABLE = {
+    "exp": (math.exp, lambda u, du: _mul(Call("exp", u), du), None),
+    "ln": (math.log, lambda u, du: _div(du, u), ("{} <= 0", "ln of nonpositive value")),
+    "sin": (math.sin, lambda u, du: _mul(Call("cos", u), du), None),
+    "cos": (math.cos, lambda u, du: _mul(_neg(Call("sin", u)), du), None),
+    "sinh": (math.sinh, lambda u, du: _mul(Call("cosh", u), du), None),
+    "cosh": (math.cosh, lambda u, du: _mul(Call("sinh", u), du), None),
+    "tanh": (math.tanh,
+             lambda u, du: _mul(_sub(_ONE, _pow(Call("tanh", u), Fraction(2))), du), None),
+    "sqrt": (math.sqrt, lambda u, du: _div(du, _mul(Num(Fraction(2)), Call("sqrt", u))),
+             ("{} < 0", "sqrt of negative value")),
+}
+FUNCTIONS = tuple(_FUNCTION_TABLE)
+_KERNEL_GLOBALS = {"DomainError": DomainError,
+                   **{name: value for name, (value, _, _) in _FUNCTION_TABLE.items()}}
+
+
+def _function(name: str) -> tuple:
+    """The table row of a `Call`'s function; a hand-built tree may name any."""
+    try:
+        return _FUNCTION_TABLE[name]
+    except KeyError:
+        raise ValueError(f"unknown function {name}") from None
+
+
 def differentiate(e: Expr) -> Expr:
     """Exact d/dt with chain and quotient rules; constant folding only."""
     if isinstance(e, (Num, Const)):
@@ -329,41 +357,9 @@ def differentiate(e: Expr) -> Expr:
         outer = _mul(Num(e.exponent), _pow(e.base, e.exponent - 1))
         return _mul(outer, differentiate(e.base))
     if isinstance(e, Call):
-        du = differentiate(e.arg)
-        u = e.arg
-        if e.fn == "exp":
-            outer: Expr = Call("exp", u)
-        elif e.fn == "ln":
-            return _div(du, u)
-        elif e.fn == "sin":
-            outer = Call("cos", u)
-        elif e.fn == "cos":
-            outer = _neg(Call("sin", u))
-        elif e.fn == "sinh":
-            outer = Call("cosh", u)
-        elif e.fn == "cosh":
-            outer = Call("sinh", u)
-        elif e.fn == "tanh":
-            outer = _sub(_ONE, _pow(Call("tanh", u), Fraction(2)))
-        elif e.fn == "sqrt":
-            return _div(du, _mul(Num(Fraction(2)), Call("sqrt", u)))
-        else:  # pragma: no cover - parser rejects unknown functions
-            raise ValueError(f"unknown function {e.fn}")
-        return _mul(outer, du)
+        _, rule, _ = _function(e.fn)
+        return rule(e.arg, differentiate(e.arg))
     raise TypeError(f"not an Expr: {e!r}")
-
-
-_KERNEL_GLOBALS = {
-    "DomainError": DomainError,
-    "exp": math.exp,
-    "ln": math.log,
-    "sin": math.sin,
-    "cos": math.cos,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "sqrt": math.sqrt,
-}
 
 
 def compile_exprs(*exprs: Expr):
@@ -373,12 +369,12 @@ def compile_exprs(*exprs: Expr):
     would do, step by step, so values are bit-identical and the first error
     is the same: one assignment per node in visit order (a `Div` evaluates
     and checks its denominator before its numerator), the `DomainError`
-    checks of `/`, `^`, `ln` and `sqrt` at the node they guard, `float(t)`
-    for `t`, `** int(q)` for integer and `** float(q)` for fractional
-    exponents.  Constants are float literals computed here, once.  A subtree
-    that repeats, inside one tree or across trees, is computed at its first
-    occurrence only: nodes are numbered by the text of their code (plus an
-    `id()` memo for shared node objects), never by the recursive
+    checks of `/`, `^` and a function's table row at the node they guard,
+    `float(t)` for `t`, `** int(q)` for integer and `** float(q)` for
+    fractional exponents.  Constants are float literals computed here, once.
+    A subtree that repeats, inside one tree or across trees, is computed at
+    its first occurrence only: nodes are numbered by the text of their code
+    (plus an `id()` memo for shared node objects), never by the recursive
     dataclass hash.
     """
     lines = ["def kernel(t):"]
@@ -441,13 +437,10 @@ def compile_exprs(*exprs: Expr):
             exponent = f"({int(q)})" if q.denominator == 1 else number(q)
             return bind(f"{base} ** {exponent}")
         if isinstance(e, Call):
-            if e.fn not in FUNCTIONS:
-                raise ValueError(f"unknown function {e.fn}")
+            _, _, guard = _function(e.fn)
             x = visit(e.arg)
-            if e.fn == "ln":
-                check(f"{x} <= 0", f'f"ln of nonpositive value {{{x}}}"')
-            elif e.fn == "sqrt":
-                check(f"{x} < 0", f'f"sqrt of negative value {{{x}}}"')
+            if guard:
+                check(guard[0].format(x), f'f"{guard[1]} {{{x}}}"')
             return bind(f"{e.fn}({x})")
         raise TypeError(f"not an Expr: {e!r}")
 
@@ -502,4 +495,7 @@ class ProfileFunctions:
         return self._r_kernel(t)[0]
 
     def jet_values(self, t: float) -> tuple[float, float, float, float, float, float]:
-        return self._jet_kernel(t)
+        try:  # name the t: the failing term may be a derivative the user never wrote
+            return self._jet_kernel(t)
+        except DomainError as err:
+            raise DomainError(f"{err} at t={t!r}") from err

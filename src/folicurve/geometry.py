@@ -329,10 +329,7 @@ class ScanReport:
         "true"/"false".  A leaf's rows share its `t` and `dKdt` float objects,
         so their reprs are formatted once and reused while a row holds those
         same objects.  The test is identity, never ==: -0.0 == 0.0 but their
-        reprs differ.
-
-        `RotationalProfile.to_csv` keeps `csv.writer`: it writes one row per
-        integration step, not per scanned point, so its writer is not hot."""
+        reprs differ."""
 
         def lines():
             yield "t,x_n,H,dKdt,spacelike\r\n"

@@ -14,7 +14,6 @@ splitting the verified symbolic c3 into its k''-linear part at first use.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from bisect import bisect_right
@@ -116,9 +115,7 @@ def cmc_rhs(
     lead_expr, rest_expr, branch = _ode_form(sig)
     # dense bindings in Indeterminate order: X, KAP, KAP1, KAP2, RHO, RHO1, RHO2, SIG, NU
     bindings = [None, k, k1, None, r, r1, None, None, float(n)]
-    lead = lead_expr.eval_numeric(bindings)  # = -r^2
-    if abs(lead) < 1e-24:
-        raise InvalidSphere(f"lead coefficient {lead} at r={r}")
+    lead = lead_expr.eval_numeric(bindings)  # = -r^2, nonzero since r > 1e-12
     rest = rest_expr.eval_numeric(bindings)
     target = branch * n * H * factor * math.sqrt(factor)
     k2 = (target - rest) / lead
@@ -146,13 +143,16 @@ class RotationalProfile:
     halted: str | None = None
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "r", "r1", "k", "k1", "K_check"])
+        """Write the rows as CSV, streamed as `ScanReport.to_csv` writes its own."""
+
+        def lines():
+            yield "t,r,r1,k,k1,K_check\r\n"
             for row in self.rows:
                 k_check = math.sqrt(row.k ** 2 - row.r ** 2)
-                writer.writerow([repr(row.t), repr(row.r), repr(row.r1),
-                                 repr(row.k), repr(row.k1), repr(k_check)])
+                yield f"{row.t!r},{row.r!r},{row.r1!r},{row.k!r},{row.k1!r},{k_check!r}\r\n"
+
+        with open(path, "w", newline="") as handle:
+            handle.writelines(lines())
 
     def to_json(self) -> str:
         return json.dumps(

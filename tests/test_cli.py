@@ -260,6 +260,8 @@ class TestBadInput:
             ["convert", "--k", "1e-320", "--r", "5e-321"],
             ["scan", "--k", "(" * 2000 + "t+2" + ")" * 2000, "--r", "1", "--n", "3", "--t", "0:1"],
             ["scan", "--k", "2" + "+t" * 2000, "--r", "1", "--n", "3", "--t", "0:1"],
+            SCAN + ["--n", "3", "--cmc-tol", "-1"],
+            SCAN + ["--n", "3", "--cmc-tol", "0"],
             *OVERFLOWS,
         ],
         ids=[
@@ -278,7 +280,8 @@ class TestBadInput:
             "verify-unknown-flag", "verify-missing-value", "verify-positional",
             "scan-k-dash-h-is-a-value", "no-command", "unknown-command",
             "scan-infinite-center", "convert-K-nan", "convert-k-overflow", "convert-K-underflow",
-            "scan-deep-parentheses", "scan-long-sum", *OVERFLOW_IDS,
+            "scan-deep-parentheses", "scan-long-sum", "scan-cmc-tol-negative",
+            "scan-cmc-tol-zero", *OVERFLOW_IDS,
         ],
     )
     def test_exit_two_with_one_line(self, argv, capsys):
@@ -642,7 +645,7 @@ FUZZ_POOLS = {
                UNSET]),
         "samples": ([2, "3", UNSET], [0, -1, True, 1.5, 10**12]),
         "points_per_leaf": ([1, "2", UNSET], [0, True, 10**9]),
-        "cmc_tol": ([1e-6, "1e-3", UNSET], ["nan", float("inf"), True, "abc", 10**400]),
+        "cmc_tol": ([1e-6, "1e-3", UNSET], ["nan", float("inf"), True, "abc", 10**400, -1, 0]),
     },
     "generate": {
         "n": ([2, 3, "4"], [1, True, 2.0, 10**9, UNSET]),

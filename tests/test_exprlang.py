@@ -220,6 +220,17 @@ class TestProfileFunctions:
         prof = ProfileFunctions.from_strings("cosh(1)", "sinh(1)")
         assert prof.jet_values(3.0)[1:3] == (0.0, 0.0)
 
+    def test_jet_domain_error_names_its_t(self):
+        # k is defined at t = 0, but k' = (1/3) t^(-2/3) is not
+        prof = ProfileFunctions.from_strings("2+t^(1/3)", "1")
+        with pytest.raises(DomainError) as info:
+            prof.jet_values(0.0)
+        assert str(info.value) == "zero base with negative exponent at t=0.0"
+        assert prof.k_value(0.0) == 2.0
+        with pytest.raises(DomainError) as info:
+            ProfileFunctions.from_strings("ln(t)", "1").k_value(-0.5)
+        assert str(info.value) == "ln of nonpositive value -0.5"
+
 
 # -- compiled kernels against the recursive walker ------------------------------
 

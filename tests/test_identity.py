@@ -256,6 +256,15 @@ class TestSquaredStructure:
         s6 = s_squared_reduced(sig) ** 3
         assert s6.coeff_of_X(0) == (RHO * RHO1 - KAP * KAP1) ** 6
 
+    def test_gap_vanishes_exactly_when_K_is_constant(self):
+        # K^2 = k^2 - r^2, so d(K^2)/dt = -2 gap with gap = r r' - k k'
+        assert (KAP ** 2 - RHO ** 2).d_dt() == -2 * (RHO * RHO1 - KAP * KAP1)
+
+    @pytest.mark.parametrize("sig", BOTH)
+    def test_x_divides_p(self, sig):
+        exponents = {exps[Indeterminate.X] for exps, _ in neg_nH_S3(sig).terms()}
+        assert exponents and min(exponents) >= 1
+
 
 class TestTheoremResiduals:
     def test_forced_zero_on_constraint(self):

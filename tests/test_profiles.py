@@ -135,6 +135,11 @@ class TestCmcRhs:
         with pytest.raises(DegenerateNormal):
             cmc_rhs(1.0, 0.0, 1.0, 0.0, 3, LORENTZIAN)
 
+    @pytest.mark.parametrize("sig", BOTH)
+    def test_lead_is_minus_r_squared(self, sig):
+        # so cmc_rhs's r > 1e-12 check alone keeps the k'' coefficient nonzero
+        assert _ode_form(sig)[0] == -RHO ** 2
+
     def test_vanishing_lead(self):
         with pytest.raises(InvalidSphere):
             cmc_rhs(1e-13, 0.0, 1.0, 0.0, 3, RIEMANNIAN)
