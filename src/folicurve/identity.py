@@ -38,9 +38,6 @@ from .symexpr import (
     x_pow,
 )
 
-HALF = rational(1, 2)
-
-
 class IdentityViolation(Exception):
     """The divergence expansion and the transcribed cubic disagree."""
 
@@ -124,15 +121,15 @@ class VerificationReport:
         )
 
 
+def s_squared_unreduced(sig: GeometrySignature) -> SymExpr:
+    """S^2 = |grad f|^2 / 4 before level-set reduction: eps * spatial + A^2."""
+    spatial = X ** 2 * SIG + X ** 2 * (X - KAP) ** 2
+    return sig.epsilon * spatial + jet_A() ** 2
+
+
 def gradient_norm_sq(sig: GeometrySignature) -> SymExpr:
     """|grad f|^2 before level-set reduction (Lorentzian: -<grad f, grad f>)."""
-    eps = sig.epsilon
-    spatial = X ** 2 * SIG + X ** 2 * (X - KAP) ** 2
-    return rational(4) * (rational(eps) * spatial + jet_A() ** 2)
-
-
-def s_squared_unreduced(sig: GeometrySignature) -> SymExpr:
-    return HALF * HALF * gradient_norm_sq(sig)
+    return 4 * s_squared_unreduced(sig)
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +149,9 @@ def neg_nH_S3(sig: GeometrySignature) -> SymExpr:
     Each summand d_j(w_j/S) is written over S^3 via d_j S = d_j(S^2)/(2S),
     with w = (grad f)/2.  The tangential sum collapses through SIG with
     multiplicity nu-1; the volume-density term det(g) = x_n^{-2n} contributes
-    -nu * X^{-1} * w_n * S^2; the result reduces modulo the level set.
+    -nu * X^{-1} * w_n * S^2; the result reduces modulo the level set.  Every
+    coefficient of d_j(S^2) is even, so its exact half keeps integer
+    coefficients.
     """
     eps = sig.epsilon
     s2 = s_squared_unreduced(sig)
@@ -160,8 +159,8 @@ def neg_nH_S3(sig: GeometrySignature) -> SymExpr:
     w_vertical = rational(-eps) * jet_A()
 
     tangential = (NU - 1) * X ** 2 * s2 - rational(eps) * x_pow(4) * SIG
-    normal = w_normal.d_dX() * s2 - HALF * w_normal * s2.d_dX()
-    vertical = w_vertical.d_dt() * s2 - HALF * w_vertical * s2.d_dt()
+    normal = w_normal.d_dX() * s2 - w_normal * (s2.d_dX() / 2)
+    vertical = w_vertical.d_dt() * s2 - w_vertical * (s2.d_dt() / 2)
     density = rational(-1) * NU * x_pow(-1) * w_normal * s2
 
     total = (tangential + normal + vertical + density).reduce_level_set()

@@ -61,7 +61,8 @@ def _exact(value) -> int | Fraction:
     """The canonical coefficient: an int if `value` is integral, else a Fraction."""
     if type(value) is int:
         return value
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     return value.numerator if value.denominator == 1 else value
 
 
@@ -75,7 +76,7 @@ def _coerce(value) -> "SymExpr":
 
 def _canonical(raw: dict) -> dict:
     """Drop the zero coefficients of an accumulated term map and canonicalise the rest."""
-    return {exps: _exact(c) for exps, c in raw.items() if c}
+    return {exps: c if type(c) is int else _exact(c) for exps, c in raw.items() if c}
 
 
 class SymExpr:
@@ -179,6 +180,18 @@ class SymExpr:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, divisor: int) -> "SymExpr":
+        """Exact division by a nonzero integer.  A coefficient that the divisor
+        divides stays an int (`c // divisor`); any other becomes a Fraction."""
+        if not isinstance(divisor, int):
+            return NotImplemented
+        if not divisor:
+            raise ZeroDivisionError("SymExpr division by zero")
+        return SymExpr._make({
+            exps: c // divisor if type(c) is int and not c % divisor else Fraction(c, divisor)
+            for exps, c in self._terms.items()
+        })
+
     def __pow__(self, power: int) -> "SymExpr":
         if not isinstance(power, int) or power < 0:
             raise ValueError("SymExpr powers must be nonnegative integers")
@@ -272,12 +285,8 @@ class SymExpr:
         return self.coeff_of(Indeterminate.X, degree)
 
     def indeterminates(self) -> set[Indeterminate]:
-        used = set()
-        for exps in self._terms:
-            for ind in Indeterminate:
-                if exps[ind]:
-                    used.add(ind)
-        return used
+        # one exponent column per indeterminate, in index order
+        return {ind for ind, column in zip(Indeterminate, zip(*self._terms)) if any(column)}
 
     def terms(self) -> Iterator[tuple[tuple, int | Fraction]]:
         """(exponent vector, coefficient) pairs; coefficients in canonical form."""
@@ -319,14 +328,14 @@ class SymExpr:
 
         It performs the operations of the plain term loop in the same order,
         so its result is bit-identical: per term, start from 1.0 and multiply
-        the powers `b ** e` in `indeterminates()` iteration order, scale by
+        the powers `b ** e` in `Indeterminate` index order, scale by
         float(coeff), and add the terms left to right to 0.0.  Each distinct
         power is computed once (`b ** 1` is `b`), and so is each `1.0 * power`
         that starts a product (a no-op for float bindings, a conversion for
         integer ones).  A binding is read as `b[int(ind)]`, which an
         `Indeterminate`-keyed mapping and a dense sequence both answer.
         """
-        used = list(self.indeterminates())
+        used = sorted(self.indeterminates())
         names = {ind: ind.name.lower() for ind in used}
         lines = [f"    {names[ind]} = b[{int(ind)}]" for ind in used]
         if any(exps[Indeterminate.X] < 0 for exps in self._terms):
@@ -399,7 +408,8 @@ class SymExpr:
 
 
 def rational(numerator: int, denominator: int = 1) -> SymExpr:
-    return SymExpr({_ZERO_EXPS: Fraction(numerator, denominator)})
+    """The constant numerator/denominator; a whole number is stored as an int."""
+    return SymExpr({_ZERO_EXPS: numerator if denominator == 1 else Fraction(numerator, denominator)})
 
 
 def x_pow(exponent: int) -> SymExpr:

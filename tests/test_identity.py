@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -33,11 +34,14 @@ from folicurve.symexpr import (
     RHO,
     RHO1,
     RHO2,
+    SIG,
     X,
     Indeterminate,
     SymExpr,
     rational,
+    x_pow,
 )
+from folicurve.profiles import _ode_form
 
 BOTH = (RIEMANNIAN, LORENTZIAN)
 
@@ -235,6 +239,102 @@ class TestVerification:
         payload = json.loads(verify_squared_identity(RIEMANNIAN).to_json())
         assert set(payload) == {"signature", "pass", "sign", "residual_text", "elapsed_ms"}
         assert payload["pass"] is True
+
+
+def fraction_rational(numerator: int, denominator: int = 1) -> SymExpr:
+    """The constant built through a Fraction, as `rational` once built every constant."""
+    return SymExpr({(0,) * len(Indeterminate): Fraction(numerator, denominator)})
+
+
+HALF = fraction_rational(1, 2)
+
+
+def fraction_s_squared_unreduced(sig: GeometrySignature) -> SymExpr:
+    """S^2 by the Fraction route: a quarter of |grad f|^2."""
+    spatial = X ** 2 * SIG + X ** 2 * (X - KAP) ** 2
+    norm_sq = fraction_rational(4) * (fraction_rational(sig.epsilon) * spatial + jet_A() ** 2)
+    return HALF * HALF * norm_sq
+
+
+def fraction_neg_nH_S3(sig: GeometrySignature) -> SymExpr:
+    """-nH*S^3 by the Fraction route: the derivative halves as HALF * w * D."""
+    eps = sig.epsilon
+    s2 = fraction_s_squared_unreduced(sig)
+    w_normal = X ** 2 * (X - KAP)
+    w_vertical = fraction_rational(-eps) * jet_A()
+    tangential = (NU - 1) * X ** 2 * s2 - fraction_rational(eps) * x_pow(4) * SIG
+    normal = w_normal.d_dX() * s2 - HALF * w_normal * s2.d_dX()
+    vertical = w_vertical.d_dt() * s2 - HALF * w_vertical * s2.d_dt()
+    density = fraction_rational(-1) * NU * x_pow(-1) * w_normal * s2
+    return (tangential + normal + vertical + density).reduce_level_set()
+
+
+def fraction_c3(sig: GeometrySignature) -> SymExpr:
+    """The bracket's c3 with every integer constant built through a Fraction."""
+    return (
+        fraction_rational(2) * RHO * RHO1 * KAP1
+        + (NU - 2) * KAP * KAP1 ** 2
+        + fraction_rational(sig.epsilon) * (NU - 1) * KAP * RHO ** 2
+        - RHO ** 2 * KAP2
+    )
+
+
+def typed_terms(p: SymExpr) -> list:
+    return [(exps, coeff, type(coeff)) for exps, coeff in p.terms()]
+
+
+def clear_identity_caches() -> None:
+    for cached in (neg_nH_S3, s_squared_reduced, bracket_cubic):
+        cached.cache_clear()
+
+
+class TestIntegerProofPath:
+    @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
+    def test_terms_match_the_fraction_route(self, sig):
+        # same keys, insertion order and coefficient types: every compiled kernel keeps its bits
+        lead, rest, _ = _ode_form(sig)
+        c3 = fraction_c3(sig)
+        pairs = {
+            "s_squared_unreduced": (identity.s_squared_unreduced(sig),
+                                    fraction_s_squared_unreduced(sig)),
+            "s_squared_reduced": (s_squared_reduced(sig),
+                                  fraction_s_squared_unreduced(sig).reduce_level_set()),
+            "neg_nH_S3": (neg_nH_S3(sig), fraction_neg_nH_S3(sig)),
+            "ode_lead": (lead, c3.coeff_of(Indeterminate.KAP2, 1)),
+            "ode_rest": (rest, c3.coeff_of(Indeterminate.KAP2, 0)),
+        }
+        for name, (built, reference) in pairs.items():
+            assert typed_terms(built) == typed_terms(reference), name
+
+    def test_cold_verify_builds_no_fraction(self, monkeypatch):
+        built = []
+        new = Fraction.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        if hasattr(Fraction, "_from_coprime_ints"):
+            # Python 3.12+ builds arithmetic results here, without calling __new__
+            coprime = Fraction._from_coprime_ints.__func__
+
+            def counting_coprime(cls, numerator, denominator):
+                built.append((numerator, denominator))
+                return coprime(cls, numerator, denominator)
+
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+        fraction_neg_nH_S3(RIEMANNIAN)
+        assert built  # the counter sees the Fraction route
+        built.clear()
+        clear_identity_caches()
+        try:
+            for sig in BOTH:
+                assert verify_squared_identity(sig).passed
+        finally:
+            monkeypatch.undo()
+            clear_identity_caches()
+        assert built == []
 
 
 class TestSquaredStructure:

@@ -262,7 +262,7 @@ class TestNumericEvaluation:
 
 def term_loop_eval(p: SymExpr, bindings) -> float:
     """The plain term loop that eval_numeric compiles; the bit-identity reference."""
-    used = p.indeterminates()
+    used = sorted(p.indeterminates())
     total = 0.0
     for exps, coeff in p.terms():
         value = 1.0
@@ -328,6 +328,15 @@ class TestCompiledKernel:
     def test_verified_polynomials_match_term_loop(self, name, bindings):
         p = VERIFIED[name]
         assert_same_double(p.eval_numeric(bindings), term_loop_eval(p, bindings))
+
+    def test_factors_multiply_in_index_order(self):
+        # a set of {KAP, RHO, NU} iterates NU first, and at these values
+        # (nu * kap) * rho != (kap * rho) * nu
+        bindings = {Indeterminate.KAP: 0.1, Indeterminate.RHO: 0.7, Indeterminate.NU: 3.0}
+        assert (3.0 * 0.1) * 0.7 != (0.1 * 0.7) * 3.0
+        for p in (KAP * RHO * NU, NU * RHO * KAP):
+            assert_same_double(p.eval_numeric(bindings), 0.0 + 1.0 * (1.0 * 0.1 * 0.7 * 3.0))
+            assert_same_double(p.eval_numeric(bindings), term_loop_eval(p, bindings))
 
     def test_compiled_once(self, monkeypatch):
         compiled = []
@@ -517,6 +526,34 @@ class TestCanonicalCoefficients:
         assert constant == c and hash(constant) == hash(c)
         if set(dict(p.terms())) - {(0,) * len(Indeterminate)}:
             assert hash(p) == hash(frozenset(p.terms()))
+
+
+def assert_same_terms(a: SymExpr, b: SymExpr) -> None:
+    """Same keys in the same insertion order, with equal coefficients of the same type."""
+    assert [(e, c, type(c)) for e, c in a.terms()] == [(e, c, type(c)) for e, c in b.terms()]
+
+
+class TestExactHalving:
+    @given(any_exprs)
+    @settings(max_examples=150)
+    def test_halving_is_exact_and_canonical(self, p):
+        half = p / 2
+        assert half * 2 == p
+        assert_same_terms(half, rational(1, 2) * p)
+        assert_canonical(half)
+        for (_, c), (_, h) in zip(p.terms(), half.terms()):
+            if type(c) is int and c % 2 == 0:
+                assert type(h) is int and h == c // 2
+            else:
+                assert type(h) is Fraction and h == Fraction(c) / 2
+
+    def test_divisor_must_be_a_nonzero_int(self):
+        with pytest.raises(ZeroDivisionError):
+            X / 0
+        with pytest.raises(TypeError):
+            X / 0.5
+        with pytest.raises(TypeError):
+            X / Fraction(1, 2)
 
 
 class TestTextForm:
