@@ -130,18 +130,20 @@ def _sum(values) -> float:
     return total
 
 
-def leaf_residual(p: SurfacePoint, jet: FoliationJet) -> float:
-    return p.x1 * p.x1 + (p.xn - jet.k) ** 2 - jet.r ** 2
+def leaf_residual(p: SurfacePoint, k: float, r: float) -> float:
+    """x1^2 + (x_n - k)^2 - r^2: zero on the leaf sphere of center k, radius r."""
+    return p.x1 * p.x1 + (p.xn - k) ** 2 - r ** 2
 
 
-def _require_on_leaf(p: SurfacePoint, jet: FoliationJet) -> None:
-    """Reject a point off the leaf by more than the rounding of a constructed point.
+def _require_on_leaf(p: SurfacePoint, k: float, r: float) -> None:
+    """Reject a point off the leaf of center k and radius r by more than the
+    rounding of a constructed point.
 
     Rounding x_n = k + r cos(theta) shifts x_n - k by about eps * k, so the
     residual of a point built on the leaf grows like eps * k * r.
     """
-    res = leaf_residual(p, jet)
-    tol = LEAF_TOL + LEAF_ROUNDING * abs(jet.k * jet.r)
+    res = leaf_residual(p, k, r)
+    tol = LEAF_TOL + LEAF_ROUNDING * abs(k * r)
     if abs(res) > tol:
         raise NotOnLeaf(f"leaf equation residual {res} at x_n={p.xn}, t={p.t}")
 
@@ -158,7 +160,7 @@ def mean_curvature_at(
 
     The kernels overflow by multiplication, which raises nothing, so a
     non-finite S^2 or H raises OverflowError here."""
-    _require_on_leaf(p, jet)
+    _require_on_leaf(p, jet.k, jet.r)
     bindings = jet.bindings(n, p.xn)
     s2 = s_squared_reduced(sig).eval_numeric(bindings)
     if s2 <= DEGENERACY_TOL:
@@ -174,7 +176,7 @@ def is_spacelike(p: SurfacePoint, jet: FoliationJet) -> bool:
     """Lorentzian test: grad f timelike on the leaf, i.e. the Lorentzian
     S^2 = A^2 - x_n^2 r^2 (the factored form `identity.s_squared_reduced`
     checks) is positive."""
-    _require_on_leaf(p, jet)
+    _require_on_leaf(p, jet.k, jet.r)
     a = vertical_slot(p, jet)
     q = a * a - (p.xn * jet.r) ** 2
     if abs(q) <= DEGENERACY_TOL:
@@ -191,28 +193,64 @@ def mean_curvature_fd(
     tol: float | None = None,
 ) -> float:
     """Independent oracle: central differences of the divergence, from pointwise
-    f evaluations only.  Second-order accurate in h."""
+    f evaluations only.  Second-order accurate in h.
+
+    It stays independent of the symbolic path: it reads the profile only
+    through `k_value`/`r_value`, never through a jet or a `SymExpr`.  A
+    divergence at step s reads the profile at seven heights, t, t +- s and
+    (t +- s) +- s, each the float expression the plain stencil computes
+    ((t + s) - s is its own height, not t).  Each height is evaluated once,
+    when the stencil first reaches it, and every f value there reuses it:
+    7 (k, r) pairs for one divergence, 13 with the Richardson check at h/2,
+    which shares t.  The float operations and their order are those of the
+    stencil that calls f at every neighbour, so the result is the same bits.
+    The point must lie on the leaf at t (`NotOnLeaf` otherwise)."""
     if not 1e-6 <= h <= 1e-2:
         raise ValueError(f"h must lie in [1e-6, 1e-2], got {h}")
+    if tol is not None and not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
     if p.xn - h <= 0:
         raise ValueError(f"point too close to the half-space boundary for h={h}")
 
     eps = sig.epsilon
+    center = (profile.k_value(p.t), profile.r_value(p.t))
+    _require_on_leaf(p, *center)
 
-    def f(y: list[float]) -> float:
-        k = profile.k_value(y[n])
-        r = profile.r_value(y[n])
-        tangential = sum(c * c for c in y[: n - 1])
-        return tangential + (y[n - 1] - k) ** 2 - r * r
+    def f(tangential: float, xn: float, k: float, r: float) -> float:
+        """f from |(x_1, ..., x_{n-1})|^2, x_n and the leaf's k and r."""
+        return tangential + (xn - k) ** 2 - r * r
 
     def divergence(step: float) -> float:
-        def flux(y: list[float]) -> list[float]:
-            grad = []
-            for m in range(n + 1):
-                yp = list(y); yp[m] += step
-                ym = list(y); ym[m] -= step
-                grad.append((f(yp) - f(ym)) / (2 * step))
+        # (k, r) by height; a height is keyed by its path of +-step moves from t
+        levels = {(): center}
+
+        def level(path: tuple) -> tuple[float, float]:
+            if path not in levels:
+                height = p.t
+                for sign in path:
+                    height = height + step if sign > 0 else height - step
+                levels[path] = (profile.k_value(height), profile.r_value(height))
+            return levels[path]
+
+        def flux(y: list[float], m: int, path: tuple) -> float:
+            """Component m of the weighted unit normal at y, whose height y[n]
+            is the one `path` names.  Only the neighbours along x_1..x_{n-1}
+            change the tangential part of f; the others reuse y's."""
+            k, r = level(path)
             xn = y[n - 1]
+            grad = []
+            for j in range(n - 1):
+                yp = y[: n - 1]; yp[j] += step
+                ym = y[: n - 1]; ym[j] -= step
+                grad.append((f(sum(c * c for c in yp), xn, k, r)
+                             - f(sum(c * c for c in ym), xn, k, r)) / (2 * step))
+            tangential = sum(c * c for c in y[: n - 1])
+            grad.append((f(tangential, xn + step, k, r)
+                         - f(tangential, xn - step, k, r)) / (2 * step))
+            grad.append((f(tangential, xn, *level(path + (1,)))
+                         - f(tangential, xn, *level(path + (-1,)))) / (2 * step))
             up = [xn * xn * g for g in grad[:n]] + [eps * grad[n]]
             inner = _sum(g * u for g, u in zip(grad, up))
             squared = inner if eps > 0 else -inner
@@ -220,14 +258,15 @@ def mean_curvature_fd(
                 raise DegenerateNormal(f"gradient not admissible at t={y[n]} ({sig.label})")
             norm = math.sqrt(squared)
             weight = xn ** (-n)
-            return [weight * u / norm for u in up]
+            return weight * up[m] / norm
 
         base = [p.x1] + [0.0] * (n - 2) + [p.xn, p.t]
         total = 0.0
         for m in range(n + 1):
             yp = list(base); yp[m] += step
             ym = list(base); ym[m] -= step
-            total += (flux(yp)[m] - flux(ym)[m]) / (2 * step)
+            above, below = ((1,), (-1,)) if m == n else ((), ())
+            total += (flux(yp, m, above) - flux(ym, m, below)) / (2 * step)
         return p.xn ** n * total
 
     div = divergence(h)

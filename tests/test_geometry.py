@@ -205,7 +205,7 @@ class TestMeanCurvature:
     def test_leaf_tolerance_scales_with_center_and_radius(self):
         jet = FoliationJet(t=0.0, k=3.0e6, k1=0.0, k2=0.0, r=10.0, r1=0.0, r2=0.0)
         points = leaf_points(jet, 3, 8)
-        assert max(abs(leaf_residual(p, jet)) for p in points) > LEAF_TOL
+        assert max(abs(leaf_residual(p, jet.k, jet.r)) for p in points) > LEAF_TOL
         for point in points:
             mean_curvature_at(point, jet, 3, RIEMANNIAN)
         off = SurfacePoint(x1=points[0].x1 + 1e-3, xn=points[0].xn, t=0.0)
@@ -223,6 +223,94 @@ class TestMeanCurvature:
         jet = FoliationJet(t=0.0, k=1e100, k1=1e100, k2=0.0, r=5e99, r1=0.0, r2=0.0)
         with pytest.raises(OverflowError, match=r"S\^2 = nan, H = nan"):
             mean_curvature_at(leaf_points(jet, 3, 1)[0], jet, 3, RIEMANNIAN)
+
+
+def _fd_reference(p, profile, n, sig, h=1e-4, tol=None):
+    """The plain stencil that calls f, and so k_value and r_value, at every
+    neighbour; the bit-identity reference of mean_curvature_fd."""
+    if not 1e-6 <= h <= 1e-2:
+        raise ValueError(f"h must lie in [1e-6, 1e-2], got {h}")
+    if p.xn - h <= 0:
+        raise ValueError(f"point too close to the half-space boundary for h={h}")
+
+    eps = sig.epsilon
+
+    def f(y: list[float]) -> float:
+        k = profile.k_value(y[n])
+        r = profile.r_value(y[n])
+        tangential = sum(c * c for c in y[: n - 1])
+        return tangential + (y[n - 1] - k) ** 2 - r * r
+
+    def divergence(step: float) -> float:
+        def flux(y: list[float]) -> list[float]:
+            grad = []
+            for m in range(n + 1):
+                yp = list(y); yp[m] += step
+                ym = list(y); ym[m] -= step
+                grad.append((f(yp) - f(ym)) / (2 * step))
+            xn = y[n - 1]
+            up = [xn * xn * g for g in grad[:n]] + [eps * grad[n]]
+            inner = geometry._sum(g * u for g, u in zip(grad, up))
+            squared = inner if eps > 0 else -inner
+            if squared <= 0:
+                raise DegenerateNormal(f"gradient not admissible at t={y[n]} ({sig.label})")
+            norm = math.sqrt(squared)
+            weight = xn ** (-n)
+            return [weight * u / norm for u in up]
+
+        base = [p.x1] + [0.0] * (n - 2) + [p.xn, p.t]
+        total = 0.0
+        for m in range(n + 1):
+            yp = list(base); yp[m] += step
+            ym = list(base); ym[m] -= step
+            total += (flux(yp)[m] - flux(ym)[m]) / (2 * step)
+        return p.xn ** n * total
+
+    div = divergence(h)
+    if tol is not None:
+        fine = divergence(h / 2)
+        estimate = abs(div - fine) / 3.0  # Richardson estimate for order 2
+        if estimate > tol:
+            raise StepUnstable(f"truncation estimate {estimate} exceeds {tol} at h={h}")
+    return -div / n
+
+
+def outcome(oracle, *args, **kwargs):
+    """The float bits an oracle returns, or the type and message it raises."""
+    try:
+        return float.hex(oracle(*args, **kwargs))
+    except Exception as err:  # noqa: BLE001 - any exception must match the reference's
+        return type(err), str(err)
+
+
+# (k, r, t range): smooth leaves; a steep radius whose Lorentzian leaves meet
+# the null cone; radii that leave their domain one step (sqrt(t) near 0) or
+# two steps (sqrt(0.01 - t) near 0.01) from t; a center that grows fast; and
+# one whose f overflows at t + h before its radius leaves its domain at t - h
+FD_PROFILES = [
+    ("2 + 0.4*t - 0.1*t^2", "0.8 + 0.25*t + 0.15*t^2", 0.0, 1.0),
+    ("2 + 0.4*t - 0.1*t^2", "0.8 + 2.2*t + 0.15*t^2", 0.0, 0.5),
+    ("2", "1 + 1.5*t", 0.0, 0.3),
+    ("3 + sqrt(t)", "1 + sqrt(t)", 1e-9, 0.02),
+    ("5 + t^2", "2 + sqrt(0.01 - t)", 0.0, 0.01 - 1e-9),
+    ("4*cosh(1) + exp(40*t)", "4*sinh(1) - ln(1 + t)", 0.0, 0.5),
+    ("2 + 10^200*t^2", "1 + sqrt(t + 0.0005)", 0.0, 0.002),
+]
+
+
+class CountingProfile:
+    """A profile that records the height of every k_value and r_value call."""
+
+    def __init__(self, profile):
+        self.profile, self.k_heights, self.r_heights = profile, [], []
+
+    def k_value(self, t):
+        self.k_heights.append(t)
+        return self.profile.k_value(t)
+
+    def r_value(self, t):
+        self.r_heights.append(t)
+        return self.profile.r_value(t)
 
 
 class TestFiniteDifferenceOracle:
@@ -277,6 +365,99 @@ class TestFiniteDifferenceOracle:
             mean_curvature_fd(point, profile, 3, RIEMANNIAN, h=1e-2, tol=1e-12)
         value = mean_curvature_fd(point, profile, 3, RIEMANNIAN, h=1e-4, tol=1e-6)
         assert math.isfinite(value)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        case=st.sampled_from(FD_PROFILES),
+        where=st.floats(min_value=0.0, max_value=1.0),
+        n=st.integers(min_value=2, max_value=6),
+        sig=st.sampled_from([RIEMANNIAN, LORENTZIAN]),
+        index=st.integers(min_value=0, max_value=7),
+        h=st.floats(min_value=1e-6, max_value=1e-2),
+        tol=st.none() | st.floats(min_value=1e-12, max_value=1.0),
+    )
+    # DomainError at t - h, at t + 2h only, near the Lorentzian null cone, and
+    # an OverflowError in f at t + h that comes before a DomainError at t - h
+    @example(case=FD_PROFILES[3], where=0.0, n=3, sig=RIEMANNIAN, index=0, h=1e-4, tol=None)
+    @example(case=FD_PROFILES[4], where=0.85, n=3, sig=RIEMANNIAN, index=0, h=1e-3, tol=None)
+    @example(case=FD_PROFILES[2], where=0.145 / 0.3, n=3, sig=LORENTZIAN, index=7, h=1e-4,
+             tol=None)
+    @example(case=FD_PROFILES[6], where=0.0, n=3, sig=RIEMANNIAN, index=0, h=1e-3, tol=None)
+    def test_bits_match_reference(self, case, where, n, sig, index, h, tol):
+        k_text, r_text, t_lo, t_hi = case
+        profile = ProfileFunctions.from_strings(k_text, r_text)
+        t = t_lo + (t_hi - t_lo) * where
+        jet = FoliationJet.from_profile(profile, t)
+        assume(jet.k > jet.r > 0)
+        point = leaf_points(jet, n, 8)[index]
+        expected = outcome(_fd_reference, point, profile, n, sig, h=h, tol=tol)
+        assert outcome(mean_curvature_fd, point, profile, n, sig, h=h, tol=tol) == expected
+
+    @pytest.mark.parametrize("tol", [None, 1e-3])
+    def test_seven_heights_per_divergence(self, tol):
+        # the same heights for every profile, n, signature and point: t once,
+        # then six more per divergence, each read once as a (k, r) pair; at
+        # t = 0.01, (t + s) - s and (t - s) + s are floats other than t
+        t, s, divergences = 0.01, 1e-3, 1 if tol is None else 2
+        cases = [(FD_PROFILES[0], RIEMANNIAN), (FD_PROFILES[5], RIEMANNIAN),
+                 (FD_PROFILES[1], LORENTZIAN)]
+        counted = 0
+        for (k_text, r_text, _, _), sig in cases:
+            base = ProfileFunctions.from_strings(k_text, r_text)
+            jet = FoliationJet.from_profile(base, t)
+            for n in (2, 3, 6):
+                for point in leaf_points(jet, n, 8):
+                    if sig is LORENTZIAN and not is_spacelike(point, jet):
+                        continue
+                    profile = CountingProfile(base)
+                    try:
+                        mean_curvature_fd(point, profile, n, sig, h=s, tol=tol)
+                    except StepUnstable:
+                        pass  # raised after the last height is read
+                    counted += 1
+                    assert profile.k_heights == profile.r_heights
+                    assert len(profile.k_heights) == 1 + 6 * divergences
+                    assert profile.k_heights[:7] == [
+                        t, t + s, t - s, (t + s) + s, (t + s) - s, (t - s) + s, (t - s) - s]
+                    assert len(set(profile.k_heights[:7])) == 7
+        assert counted > 3 * 8
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        # every comparison with NaN is false, so a NaN tol would pass any estimate
+        profile = ProfileFunctions.from_strings("2 + 0.4*t - 0.1*t^2", "0.8 + 0.25*t + 0.15*t^2")
+        point = point_at(FoliationJet.from_profile(profile, 0.0), 1.4)
+        with pytest.raises(ValueError, match="tol must be a finite number > 0"):
+            mean_curvature_fd(point, profile, 3, RIEMANNIAN, h=1e-2, tol=tol)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_rejects_low_dimension(self, n):
+        profile = cylinder_profile()
+        point = point_at(FoliationJet.from_profile(profile, 0.0), 1.8)
+        with pytest.raises(ValueError, match=f"dimension must be at least 2, got {n}"):
+            mean_curvature_fd(point, profile, n, RIEMANNIAN)
+
+    @pytest.mark.parametrize("sig", [RIEMANNIAN, LORENTZIAN])
+    def test_rejects_point_off_leaf(self, sig):
+        profile = cylinder_profile()
+        jet = FoliationJet.from_profile(profile, 0.0)
+        point = point_at(jet, jet.k + 0.3 * jet.r)
+        off = SurfacePoint(x1=point.x1 + 1e-6, xn=point.xn, t=0.0)
+        with pytest.raises(NotOnLeaf, match="leaf equation residual"):
+            mean_curvature_fd(off, profile, 3, sig)
+
+    def test_leaf_tolerance_scales_with_center_and_radius(self):
+        # the tolerance of mean_curvature_at: built points pass far beyond LEAF_TOL
+        profile = ProfileFunctions.from_strings("3000000", "10")
+        jet = FoliationJet.from_profile(profile, 0.0)
+        points = leaf_points(jet, 3, 8)
+        assert max(abs(leaf_residual(p, jet.k, jet.r)) for p in points) > LEAF_TOL
+        for point in points:
+            mean_curvature_fd(point, profile, 3, RIEMANNIAN, h=1e-3)
+        off = SurfacePoint(x1=points[0].x1 + 1e-3, xn=points[0].xn, t=0.0)
+        with pytest.raises(NotOnLeaf):
+            mean_curvature_fd(off, profile, 3, RIEMANNIAN, h=1e-3)
 
 
 class TestSpacelike:
