@@ -8,14 +8,15 @@ contain timestamps.
 Every library failure is a ValueError (bad input or data) or an
 ArithmeticError (a numeric breakdown), so each stage below catches that pair
 and prints one stderr line with exit 2; an output file that cannot be written
-does the same, with stdout left empty.  Only IdentityViolation exits 1.  A
-closed stdout leaves the exit code as it was.
+does the same, with stdout left empty.  Only IdentityViolation exits 1: `main`
+catches it from any subcommand and prints its one-line message (`verify`
+prints a failing sign check as its JSON report instead).  A closed stdout
+leaves the exit code as it was.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import functools
 import json
 import math
@@ -26,7 +27,6 @@ from typing import Any, Callable
 
 from . import exprlang, geometry, identity, profiles
 from .identity import GeometrySignature, IdentityViolation
-from .symexpr import KAP, RHO
 
 EXIT_OK = 0
 EXIT_IDENTITY = 1
@@ -131,19 +131,13 @@ def _print(text: str) -> None:
         os.close(devnull)
 
 
-def _mutated_bracket(sig: GeometrySignature, which: str) -> identity.CubicCoefficients:
-    """Fault-injection hook: perturb one bracket coefficient by KAP*RHO^2."""
-    cubic = identity.bracket_cubic(sig)
-    return dataclasses.replace(cubic, **{which: getattr(cubic, which) - KAP * RHO ** 2})
-
-
 def cmd_verify(args: types.SimpleNamespace) -> int:
     labels = ["riemannian", "lorentzian"] if args.signature == "both" else [args.signature]
     reports = []
     status = EXIT_OK
     for label in labels:
         sig = GeometrySignature.from_label(label)
-        bracket = _mutated_bracket(sig, args.mutate) if args.mutate else None
+        bracket = identity.mutated_bracket(sig, args.mutate) if args.mutate else None
         try:
             report = identity.verify_squared_identity(sig, bracket=bracket)
         except IdentityViolation as violation:
@@ -424,6 +418,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     try:
         return run(types.SimpleNamespace(**settings))
+    except IdentityViolation as violation:
+        print(violation, file=sys.stderr)
+        return EXIT_IDENTITY
     except OSError as err:  # data files are written before the summary is printed
         print(f"cannot write {err.filename or 'output'}: {err.strerror or err}", file=sys.stderr)
         return EXIT_INPUT

@@ -204,7 +204,8 @@ def mean_curvature_fd(
     7 (k, r) pairs for one divergence, 13 with the Richardson check at h/2,
     which shares t.  The float operations and their order are those of the
     stencil that calls f at every neighbour, so the result is the same bits.
-    The point must lie on the leaf at t (`NotOnLeaf` otherwise)."""
+    The point must lie on the leaf at t (`NotOnLeaf` otherwise); an overflow
+    is re-raised as an OverflowError that names t, x_n and h."""
     if not 1e-6 <= h <= 1e-2:
         raise ValueError(f"h must lie in [1e-6, 1e-2], got {h}")
     if tol is not None and not 0 < tol < math.inf:
@@ -215,8 +216,6 @@ def mean_curvature_fd(
         raise ValueError(f"point too close to the half-space boundary for h={h}")
 
     eps = sig.epsilon
-    center = (profile.k_value(p.t), profile.r_value(p.t))
-    _require_on_leaf(p, *center)
 
     def f(tangential: float, xn: float, k: float, r: float) -> float:
         """f from |(x_1, ..., x_{n-1})|^2, x_n and the leaf's k and r."""
@@ -269,9 +268,14 @@ def mean_curvature_fd(
             total += (flux(yp, m, above) - flux(ym, m, below)) / (2 * step)
         return p.xn ** n * total
 
-    div = divergence(h)
+    try:
+        center = (profile.k_value(p.t), profile.r_value(p.t))
+        _require_on_leaf(p, *center)
+        div = divergence(h)
+        fine = None if tol is None else divergence(h / 2)
+    except OverflowError as err:
+        raise OverflowError(f"float overflow in the stencil at t={p.t}, x_n={p.xn}, h={h}") from err
     if tol is not None:
-        fine = divergence(h / 2)
         estimate = abs(div - fine) / 3.0  # Richardson estimate for order 2
         if estimate > tol:
             raise StepUnstable(f"truncation estimate {estimate} exceeds {tol} at h={h}")

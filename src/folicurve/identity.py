@@ -12,6 +12,9 @@ gives the squared identity P^2 = Q^2 that drives the rigidity conclusions: the
 degree-0 coefficient forces  n^2 H^2 (r r' - k k')^6 = 0  and the degree-2
 coefficient forces  k (n-2) (r r' - k k')^2 = 0.  A failing report carries the
 residual P^2 - Q^2.
+
+It holds every exact lemma, including those of the rotational ODE form, and the
+`verify --mutate` hook; no other module raises IdentityViolation.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import enum
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .symexpr import (
@@ -27,6 +30,7 @@ from .symexpr import (
     KAP1,
     KAP2,
     NU,
+    ONE,
     RHO,
     RHO1,
     RHO2,
@@ -193,6 +197,12 @@ def bracket_cubic(sig: GeometrySignature) -> CubicCoefficients:
     return CubicCoefficients(c3=c3, c2=c2, c1=c1)
 
 
+def mutated_bracket(sig: GeometrySignature, which: str) -> CubicCoefficients:
+    """`verify --mutate`'s fault injection: bracket coefficient `which` minus KAP*RHO^2."""
+    cubic = bracket_cubic(sig)
+    return replace(cubic, **{which: getattr(cubic, which) - KAP * RHO ** 2})
+
+
 def verify_squared_identity(
     sig: GeometrySignature, bracket: CubicCoefficients | None = None
 ) -> VerificationReport:
@@ -217,6 +227,47 @@ def verify_squared_identity(
         report = VerificationReport(sig.label, False, None, (p * p - q * q).to_text(), elapsed)
         raise IdentityViolation(f"{sig.label} identity violated", report)
     return VerificationReport(sig.label, True, sign, "0", elapsed)
+
+
+def apply_rotational_constraint(p: SymExpr) -> SymExpr:
+    """Rewrite modulo k k' = r r' and its t-derivative k k'' = r'^2 + r r'' - k'^2.
+
+    Each pass replaces one KAP*KAP2 (else KAP*KAP1) pair per monomial, until a
+    pass rewrites nothing; 0 then certifies membership in the constraint ideal.
+    """
+    rules = ((Indeterminate.KAP2, RHO1 ** 2 + RHO * RHO2 - KAP1 ** 2),
+             (Indeterminate.KAP1, RHO * RHO1))
+    changed = True
+    while changed:
+        changed, out = False, {}
+        for exps, coeff in p.terms():
+            base, rule = list(exps), ONE  # a monomial no rule rewrites is kept
+            for ind, candidate in rules if exps[Indeterminate.KAP] else ():
+                if exps[ind]:
+                    base[Indeterminate.KAP] -= 1
+                    base[ind] -= 1
+                    rule, changed = candidate, True
+                    break
+            for rule_exps, rule_coeff in rule.terms():
+                key = tuple(b + e for b, e in zip(base, rule_exps))
+                out[key] = out.get(key, 0) + coeff * rule_coeff
+        p = SymExpr(out)
+    return p
+
+
+@lru_cache(maxsize=None)
+def rotational_ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr, int]:
+    """(lead, rest, -s): c3 = lead k'' + rest and the branch of -s n H F^{3/2} = c3
+    for a rotational profile.  Proves c2 = 0 and S^2 = X^2 F modulo k k' = r r'
+    first (F the admissibility factor), then P = s Q."""
+    cubic = bracket_cubic(sig)
+    if not apply_rotational_constraint(cubic.c2).is_zero:
+        raise IdentityViolation(f"c2 does not vanish under the rotational constraint ({sig.label})")
+    factor = rational(sig.epsilon) * RHO ** 2 + KAP1 ** 2
+    if apply_rotational_constraint(s_squared_reduced(sig)) != X ** 2 * factor:
+        raise IdentityViolation(f"S^2 is not X^2 F under the rotational constraint ({sig.label})")
+    branch = -verify_squared_identity(sig).sign
+    return cubic.c3.coeff_of(Indeterminate.KAP2, 1), cubic.c3.coeff_of(Indeterminate.KAP2, 0), branch
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,8 @@ verified global sign of P = s Q and F = r^2 + k'^2 (Riemannian) or
 k'^2 - r^2 (Lorentzian, positive exactly on spacelike leaves).  c3 is linear
 in k'', which is how r'' is recovered.
 
-The ODE right-hand side is never transcribed by hand: it is obtained by
-splitting the verified symbolic c3 into its k''-linear part at first use.
+The ODE right-hand side is never transcribed by hand: it is the k''-linear split
+of the verified c3, which `identity.rotational_ode_form` proves and returns.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .geometry import DegenerateNormal, ScanReport, StepUnstable, constancy_scan
-from .identity import (GeometrySignature, IdentityViolation, InvalidSphere, RIEMANNIAN,
-                       bracket_cubic, s_squared_reduced, verify_squared_identity)
-from .symexpr import KAP1, RHO, RHO1, RHO2, X, Indeterminate, SymExpr, rational
+from .identity import GeometrySignature, InvalidSphere, RIEMANNIAN, rotational_ode_form
 
 R_MIN = 1e-6
 STEP_ERROR_LIMIT = 1e-8
@@ -33,56 +31,6 @@ H_TOL = 1e-5  # largest |H - H_target| the closed loop accepts
 
 class ValidationFailed(ValueError):
     """Closed-loop validation found a leaf off the target curvature."""
-
-
-def apply_rotational_constraint(p: SymExpr) -> SymExpr:
-    """Rewrite modulo k k' = r r' and its t-derivative k k'' = r'^2 + r r'' - k'^2.
-
-    Each pass replaces one KAP*KAP2 or KAP*KAP1 pair per monomial; reaching a
-    fixed point of 0 certifies membership in the constraint ideal.
-    """
-    second = RHO1 ** 2 + RHO * RHO2 - KAP1 ** 2
-    first = RHO * RHO1
-    current = p
-    while True:
-        out = SymExpr()
-        changed = False
-        for exps, coeff in current.terms():
-            e_k = exps[Indeterminate.KAP]
-            e_k1 = exps[Indeterminate.KAP1]
-            e_k2 = exps[Indeterminate.KAP2]
-            if e_k >= 1 and e_k2 >= 1:
-                rule, i_other = second, Indeterminate.KAP2
-            elif e_k >= 1 and e_k1 >= 1:
-                rule, i_other = first, Indeterminate.KAP1
-            else:
-                out = out + SymExpr.monomial(coeff, dict(zip(Indeterminate, exps)))
-                continue
-            reduced = list(exps)
-            reduced[Indeterminate.KAP] -= 1
-            reduced[i_other] -= 1
-            out = out + SymExpr.monomial(coeff, dict(zip(Indeterminate, reduced))) * rule
-            changed = True
-        current = out
-        if not changed:
-            return current
-
-
-@lru_cache(maxsize=None)
-def _ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr, int]:
-    """(k''-coefficient, remainder) of the verified cubic c3 and the branch -s
-    of -s n H F^{3/2} = c3; gates on the squared identity, the rotational
-    c2-vanishing lemma and S^2 = X^2 F, the admissibility factor's source."""
-    branch = -verify_squared_identity(sig).sign
-    cubic = bracket_cubic(sig)
-    if not apply_rotational_constraint(cubic.c2).is_zero:
-        raise IdentityViolation(f"c2 does not vanish under the rotational constraint ({sig.label})")
-    factor = rational(sig.epsilon) * RHO ** 2 + KAP1 ** 2
-    if apply_rotational_constraint(s_squared_reduced(sig)) != X ** 2 * factor:
-        raise IdentityViolation(f"S^2 is not X^2 F under the rotational constraint ({sig.label})")
-    lead = cubic.c3.coeff_of(Indeterminate.KAP2, 1)
-    rest = cubic.c3.coeff_of(Indeterminate.KAP2, 0)
-    return lead, rest, branch
 
 
 def admissibility_factor(r: float, k1: float, sig: GeometrySignature) -> float:
@@ -112,7 +60,7 @@ def cmc_rhs(
     factor = admissibility_factor(r, k1, sig)
     if sig is not RIEMANNIAN and factor <= 0:
         raise DegenerateNormal(f"k'^2 - r^2 = {factor} at r={r}, r'={r1}")
-    lead_expr, rest_expr, branch = _ode_form(sig)
+    lead_expr, rest_expr, branch = rotational_ode_form(sig)
     # dense bindings in Indeterminate order: X, KAP, KAP1, KAP2, RHO, RHO1, RHO2, SIG, NU
     bindings = [None, k, k1, None, r, r1, None, None, float(n)]
     lead = lead_expr.eval_numeric(bindings)  # = -r^2, nonzero since r > 1e-12

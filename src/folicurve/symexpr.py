@@ -105,18 +105,6 @@ class SymExpr:
         obj._terms = terms
         return obj
 
-    @classmethod
-    def monomial(cls, coeff, exps: Mapping[Indeterminate, int]) -> "SymExpr":
-        coeff = _exact(coeff)
-        if not coeff:
-            return ZERO
-        vec = [0] * _N
-        for ind, e in exps.items():
-            if e < 0 and ind is not Indeterminate.X:
-                raise ValueError(f"negative exponent only allowed for X, got {ind.name}^{e}")
-            vec[ind] = e
-        return cls._make({tuple(vec): coeff})
-
     # -- ring structure ----------------------------------------------------
 
     @property

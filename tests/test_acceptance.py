@@ -24,6 +24,7 @@ from folicurve.exprlang import ProfileFunctions
 from folicurve.identity import (
     LORENTZIAN,
     RIEMANNIAN,
+    apply_rotational_constraint,
     bracket_cubic,
     jet_A,
     jet_B,
@@ -31,11 +32,7 @@ from folicurve.identity import (
     theorem_residuals,
     verify_squared_identity,
 )
-from folicurve.profiles import (
-    apply_rotational_constraint,
-    integrate_profile,
-    validate_profile,
-)
+from folicurve.profiles import integrate_profile, validate_profile
 from folicurve.symexpr import KAP, KAP1, NU, RHO, X, rational
 
 SEED = 20260808

@@ -16,6 +16,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from folicurve import cli, exprlang, geometry, identity, profiles
+from folicurve.symexpr import KAP, RHO
 
 
 def run(argv, capsys):
@@ -60,6 +61,47 @@ class TestVerify:
         report = json.loads(out)[0]
         assert report["pass"] is False
         assert report["residual_text"] != "0"
+
+
+def _perturbed_s_squared(monkeypatch):
+    unreduced = identity.s_squared_unreduced
+    monkeypatch.setattr(identity, "s_squared_unreduced",
+                        lambda sig: unreduced(sig) + KAP * RHO ** 2)
+
+
+def _perturbed_c2(monkeypatch):
+    mutated = {sig: identity.mutated_bracket(sig, "c2") for sig in identity.GeometrySignature}
+    monkeypatch.setattr(identity, "bracket_cubic", mutated.__getitem__)
+
+
+class TestIdentityViolationExitsOne:
+    @pytest.mark.parametrize(
+        "perturb, argv, message",
+        [
+            (_perturbed_s_squared,
+             ["scan", "--signature", "lorentzian", "--k", "2", "--r", "1+1.5*t", "--n", "3",
+              "--t", "0:0.3"],
+             "S^2 on the leaf is not A^2 + eps x_n^2 r^2 (lorentzian)"),
+            (_perturbed_c2,
+             ["generate", "--n", "3", "--K", "1", "--t", "0:0.05"],
+             "c2 does not vanish under the rotational constraint (riemannian)"),
+        ],
+        ids=["scan", "generate"],
+    )
+    def test_any_command_prints_one_line(self, perturb, argv, message, monkeypatch, capsys):
+        caches = (identity.s_squared_reduced, identity.rotational_ode_form)
+        perturb(monkeypatch)
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            code, out, err = run(argv, capsys)
+        finally:
+            monkeypatch.undo()
+            for cached in caches:
+                cached.cache_clear()
+        assert code == 1
+        assert out == ""
+        assert err == message + "\n"
 
 
 class TestScan:

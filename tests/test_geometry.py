@@ -275,11 +275,16 @@ def _fd_reference(p, profile, n, sig, h=1e-4, tol=None):
     return -div / n
 
 
-def outcome(oracle, *args, **kwargs):
-    """The float bits an oracle returns, or the type and message it raises."""
+def outcome(oracle, point, *args, **kwargs):
+    """The float bits an oracle returns, or the type and message it raises.
+    mean_curvature_fd re-raises an overflow as one that names t: compare the
+    overflow it wraps."""
     try:
-        return float.hex(oracle(*args, **kwargs))
+        return float.hex(oracle(point, *args, **kwargs))
     except Exception as err:  # noqa: BLE001 - any exception must match the reference's
+        if oracle is mean_curvature_fd and type(err) is OverflowError:
+            assert f"at t={point.t}, x_n={point.xn}," in str(err)
+            err = err.__cause__
         return type(err), str(err)
 
 
@@ -393,6 +398,17 @@ class TestFiniteDifferenceOracle:
         point = leaf_points(jet, n, 8)[index]
         expected = outcome(_fd_reference, point, profile, n, sig, h=h, tol=tol)
         assert outcome(mean_curvature_fd, point, profile, n, sig, h=h, tol=tol) == expected
+
+    @pytest.mark.parametrize("tol", [None, 1e-3])
+    def test_overflow_names_t_x_n_and_h(self, tol):
+        # (x_n - k)^2 overflows once k at a shifted height passes about 1.3e154
+        profile = ProfileFunctions.from_strings("2 + 10^200*t^2", "1 + sqrt(t + 0.0005)")
+        point = leaf_points(FoliationJet.from_profile(profile, 0.0), 3, 8)[0]
+        with pytest.raises(OverflowError) as info:
+            mean_curvature_fd(point, profile, 3, RIEMANNIAN, h=1e-3, tol=tol)
+        assert str(info.value) == (
+            f"float overflow in the stencil at t=0.0, x_n={point.xn}, h=0.001")
+        assert str(info.value.__cause__) == "(34, 'Numerical result out of range')"
 
     @pytest.mark.parametrize("tol", [None, 1e-3])
     def test_seven_heights_per_divergence(self, tol):

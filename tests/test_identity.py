@@ -1,8 +1,10 @@
 """Divergence pipeline vs the closed-form cubic, both signatures."""
 
+import ast
 import dataclasses
 import hashlib
 import json
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -17,11 +19,13 @@ from folicurve.identity import (
     InvalidSphere,
     LORENTZIAN,
     RIEMANNIAN,
+    apply_rotational_constraint,
     bracket_cubic,
     gradient_norm_sq,
     jet_A,
     jet_B,
     neg_nH_S3,
+    rotational_ode_form,
     s_squared_reduced,
     theorem_residuals,
     verify_squared_identity,
@@ -41,7 +45,6 @@ from folicurve.symexpr import (
     rational,
     x_pow,
 )
-from folicurve.profiles import _ode_form
 
 BOTH = (RIEMANNIAN, LORENTZIAN)
 
@@ -146,6 +149,100 @@ class TestBracketCubic:
     def test_c1_vanishes_in_dimension_two(self):
         c1 = bracket_cubic(RIEMANNIAN).c1
         assert c1.substitute(Indeterminate.NU, rational(2)).is_zero
+
+
+def _rotational_reference(p: SymExpr) -> SymExpr:
+    """The rotational reduction as first written: one SymExpr per term, added
+    one at a time; the reference of `apply_rotational_constraint`."""
+    second = RHO1 ** 2 + RHO * RHO2 - KAP1 ** 2
+    first = RHO * RHO1
+    current = p
+    while True:
+        out = SymExpr()
+        changed = False
+        for exps, coeff in current.terms():
+            e_k = exps[Indeterminate.KAP]
+            e_k1 = exps[Indeterminate.KAP1]
+            e_k2 = exps[Indeterminate.KAP2]
+            if e_k >= 1 and e_k2 >= 1:
+                rule, i_other = second, Indeterminate.KAP2
+            elif e_k >= 1 and e_k1 >= 1:
+                rule, i_other = first, Indeterminate.KAP1
+            else:
+                out = out + SymExpr({tuple(exps): coeff})
+                continue
+            reduced = list(exps)
+            reduced[Indeterminate.KAP] -= 1
+            reduced[i_other] -= 1
+            out = out + SymExpr({tuple(reduced): coeff}) * rule
+            changed = True
+        current = out
+        if not changed:
+            return current
+
+
+# exponent vectors over X (Laurent), KAP, KAP1, KAP2, RHO, RHO1, RHO2 and NU; SIG stays 0
+rotational_exps = st.tuples(
+    st.integers(min_value=-2, max_value=3),
+    *[st.integers(min_value=0, max_value=3)] * 6,
+    st.just(0),
+    st.integers(min_value=0, max_value=2),
+)
+rotational_polys = st.dictionaries(
+    rotational_exps,
+    st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool),
+    max_size=8,
+).map(SymExpr)
+
+
+class TestRotationalConstraint:
+    @given(rotational_polys)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, p):
+        assert apply_rotational_constraint(p) == _rotational_reference(p)
+
+    @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
+    @pytest.mark.parametrize("name", ["c1", "c2", "c3", "s_squared"])
+    def test_matches_reference_on_verified_objects(self, sig, name):
+        cubic = bracket_cubic(sig)
+        p = s_squared_reduced(sig) if name == "s_squared" else getattr(cubic, name)
+        assert apply_rotational_constraint(p) == _rotational_reference(p)
+
+    def test_rules_are_tried_second_derivative_first(self):
+        # k k' k'': the KAP*KAP2 rule takes the one k, so k' stays
+        p = KAP * KAP1 * KAP2
+        expected = KAP1 * (RHO1 ** 2 + RHO * RHO2 - KAP1 ** 2)
+        assert apply_rotational_constraint(p) == expected == _rotational_reference(p)
+
+
+SRC = pathlib.Path(identity.__file__).parent
+
+
+def _boundary_crossings() -> tuple[set, set]:
+    """The modules under src/folicurve that import from symexpr, and those that
+    raise IdentityViolation."""
+    importers, raisers = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [alias.name for alias in node.names]
+                if any(name.split(".")[-1] == "symexpr" for name in names):
+                    importers.add(path.name)
+            elif isinstance(node, ast.Import):
+                if any(alias.name.split(".")[-1] == "symexpr" for alias in node.names):
+                    importers.add(path.name)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "IdentityViolation":
+                    raisers.add(path.name)
+    return importers, raisers
+
+
+class TestExactBoundary:
+    def test_only_identity_uses_the_exact_ring(self):
+        importers, raisers = _boundary_crossings()
+        assert importers - {"symexpr.py"} == {"identity.py"}
+        assert raisers == {"identity.py"}
 
 
 class TestVerification:
@@ -292,7 +389,7 @@ class TestIntegerProofPath:
     @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
     def test_terms_match_the_fraction_route(self, sig):
         # same keys, insertion order and coefficient types: every compiled kernel keeps its bits
-        lead, rest, _ = _ode_form(sig)
+        lead, rest, _ = rotational_ode_form(sig)
         c3 = fraction_c3(sig)
         pairs = {
             "s_squared_unreduced": (identity.s_squared_unreduced(sig),

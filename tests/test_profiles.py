@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from folicurve import profiles
+from folicurve import identity, profiles
 from folicurve.geometry import constancy_scan
-from folicurve.identity import (LORENTZIAN, RIEMANNIAN, IdentityViolation, bracket_cubic,
-                                s_squared_reduced, verify_squared_identity)
+from folicurve.identity import (LORENTZIAN, RIEMANNIAN, IdentityViolation,
+                                apply_rotational_constraint, bracket_cubic,
+                                rotational_ode_form, s_squared_reduced, verify_squared_identity)
 from folicurve.profiles import (
     DegenerateNormal,
     HermiteProfile,
@@ -21,9 +22,7 @@ from folicurve.profiles import (
     RotationalProfile,
     StepUnstable,
     ValidationFailed,
-    _ode_form,
     admissibility_factor,
-    apply_rotational_constraint,
     cmc_rhs,
     integrate_profile,
     validate_profile,
@@ -63,24 +62,24 @@ class TestRotationalConstraintLemma:
             cubic = bracket_cubic(sig)
             return dataclasses.replace(cubic, c2=cubic.c2 + KAP * RHO ** 2)
 
-        monkeypatch.setattr(profiles, "bracket_cubic", broken)
-        _ode_form.cache_clear()
+        monkeypatch.setattr(identity, "bracket_cubic", broken)
+        rotational_ode_form.cache_clear()
         try:
             with pytest.raises(IdentityViolation, match="c2 does not vanish"):
-                _ode_form(sig)
+                rotational_ode_form(sig)
         finally:
-            _ode_form.cache_clear()
+            rotational_ode_form.cache_clear()
 
     @pytest.mark.parametrize("sig", BOTH)
     def test_admissibility_factor_comes_from_s_squared(self, sig, monkeypatch):
-        monkeypatch.setattr(profiles, "s_squared_reduced",
+        monkeypatch.setattr(identity, "s_squared_reduced",
                             lambda sig: s_squared_reduced(sig) + KAP * RHO ** 2)
-        _ode_form.cache_clear()
+        rotational_ode_form.cache_clear()
         try:
             with pytest.raises(IdentityViolation, match=rf"S\^2 .*\({sig.label}\)"):
-                _ode_form(sig)
+                rotational_ode_form(sig)
         finally:
-            _ode_form.cache_clear()
+            rotational_ode_form.cache_clear()
 
 
 class TestCmcRhs:
@@ -124,12 +123,12 @@ class TestCmcRhs:
             report = verify_squared_identity(sig)
             return dataclasses.replace(report, sign=-report.sign)
 
-        monkeypatch.setattr(profiles, "verify_squared_identity", flipped)
-        _ode_form.cache_clear()
+        monkeypatch.setattr(identity, "verify_squared_identity", flipped)
+        rotational_ode_form.cache_clear()
         try:
             assert cmc_rhs(1.0, 0.2, 1.0, 0.5, 3, RIEMANNIAN) == mirror
         finally:
-            _ode_form.cache_clear()
+            rotational_ode_form.cache_clear()
 
     def test_lorentzian_requires_spacelike_factor(self):
         with pytest.raises(DegenerateNormal):
@@ -138,7 +137,7 @@ class TestCmcRhs:
     @pytest.mark.parametrize("sig", BOTH)
     def test_lead_is_minus_r_squared(self, sig):
         # so cmc_rhs's r > 1e-12 check alone keeps the k'' coefficient nonzero
-        assert _ode_form(sig)[0] == -RHO ** 2
+        assert rotational_ode_form(sig)[0] == -RHO ** 2
 
     def test_vanishing_lead(self):
         with pytest.raises(InvalidSphere):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from folicurve.identity import LORENTZIAN, RIEMANNIAN, neg_nH_S3, s_squared_reduced
-from folicurve.profiles import _ode_form
+from folicurve.identity import (LORENTZIAN, RIEMANNIAN, neg_nH_S3, rotational_ode_form,
+                                s_squared_reduced)
 from folicurve.symexpr import (
     KAP,
     KAP1,
@@ -300,8 +300,8 @@ VERIFIED = {
     for name, build in [
         ("neg_nH_S3", neg_nH_S3),
         ("s_squared_reduced", s_squared_reduced),
-        ("ode_lead", lambda sig: _ode_form(sig)[0]),
-        ("ode_rest", lambda sig: _ode_form(sig)[1]),
+        ("ode_lead", lambda sig: rotational_ode_form(sig)[0]),
+        ("ode_rest", lambda sig: rotational_ode_form(sig)[1]),
     ]
 }
 
@@ -492,7 +492,7 @@ class TestCanonicalCoefficients:
 
     @given(coeffs, coeffs)
     def test_constant_equals_its_number(self, p, q):
-        constant = SymExpr.monomial(p, {})
+        constant = SymExpr({(0,) * len(Indeterminate): p})
         cases = [(rational(p.numerator, p.denominator), p), (constant * q, p * q),
                  (constant + q, p + q), (constant - p, 0)]
         for const, expected in cases:
