@@ -142,15 +142,10 @@ def _require_on_leaf(p: SurfacePoint, k: float, r: float) -> None:
     Rounding x_n = k + r cos(theta) shifts x_n - k by about eps * k, so the
     residual of a point built on the leaf grows like eps * k * r.
     """
-    res = leaf_residual(p, k, r)
+    res = p.x1 * p.x1 + (p.xn - k) ** 2 - r ** 2  # leaf_residual(p, k, r), inline
     tol = LEAF_TOL + LEAF_ROUNDING * abs(k * r)
     if abs(res) > tol:
         raise NotOnLeaf(f"leaf equation residual {res} at x_n={p.xn}, t={p.t}")
-
-
-def vertical_slot(p: SurfacePoint, jet: FoliationJet) -> float:
-    """A = (x_n - k) k' + r r' evaluated at the point."""
-    return (p.xn - jet.k) * jet.k1 + jet.r * jet.r1
 
 
 def mean_curvature_at(
@@ -160,8 +155,10 @@ def mean_curvature_at(
 
     The kernels overflow by multiplication, which raises nothing, so a
     non-finite S^2 or H raises OverflowError here."""
-    _require_on_leaf(p, jet.k, jet.r)
-    bindings = jet.bindings(n, p.xn)
+    k, r = jet.k, jet.r
+    _require_on_leaf(p, k, r)
+    # jet.bindings(n, p.xn), inline
+    bindings = [p.xn, k, jet.k1, jet.k2, r, jet.r1, jet.r2, None, float(n)]
     s2 = s_squared_reduced(sig).eval_numeric(bindings)
     if s2 <= DEGENERACY_TOL:
         raise DegenerateNormal(f"S^2 = {s2} at x_n={p.xn} ({sig.label})")
@@ -176,9 +173,11 @@ def is_spacelike(p: SurfacePoint, jet: FoliationJet) -> bool:
     """Lorentzian test: grad f timelike on the leaf, i.e. the Lorentzian
     S^2 = A^2 - x_n^2 r^2 (the factored form `identity.s_squared_reduced`
     checks) is positive."""
-    _require_on_leaf(p, jet.k, jet.r)
-    a = vertical_slot(p, jet)
-    q = a * a - (p.xn * jet.r) ** 2
+    k, r = jet.k, jet.r
+    _require_on_leaf(p, k, r)
+    xn = p.xn
+    a = (xn - k) * jet.k1 + r * jet.r1  # A = (x_n - k) k' + r r'
+    q = a * a - (xn * r) ** 2
     if abs(q) <= DEGENERACY_TOL:
         raise DegenerateNormal(f"null gradient at x_n={p.xn}, t={p.t}")
     return q > 0

@@ -27,6 +27,7 @@ R_MIN = 1e-6
 STEP_ERROR_LIMIT = 1e-8
 DKDT_LIMIT = 1e-8
 H_TOL = 1e-5  # largest |H - H_target| the closed loop accepts
+T_ROUNDING = 1e-6  # largest rounding of t += step, relative to the step, that a range may need
 
 
 class ValidationFailed(ValueError):
@@ -57,9 +58,13 @@ def cmc_rhs(
         raise InvalidSphere(f"r = {r}")
     k = math.hypot(K, r)
     k1 = r * r1 / k
-    factor = admissibility_factor(r, k1, sig)
-    if sig is not RIEMANNIAN and factor <= 0:
-        raise DegenerateNormal(f"k'^2 - r^2 = {factor} at r={r}, r'={r1}")
+    # admissibility_factor(r, k1, sig), inline
+    if sig is RIEMANNIAN:
+        factor = r * r + k1 * k1
+    else:
+        factor = k1 * k1 - r * r
+        if factor <= 0:
+            raise DegenerateNormal(f"k'^2 - r^2 = {factor} at r={r}, r'={r1}")
     lead_expr, rest_expr, branch = rotational_ode_form(sig)
     # dense bindings in Indeterminate order: X, KAP, KAP1, KAP2, RHO, RHO1, RHO2, SIG, NU
     bindings = [None, k, k1, None, r, r1, None, None, float(n)]
@@ -137,7 +142,9 @@ def integrate_profile(
 
     Halts early (partial table, `halted` set) when r reaches R_MIN or the
     admissibility factor fails; raises StepUnstable if the local error
-    estimate exceeds STEP_ERROR_LIMIT.
+    estimate exceeds STEP_ERROR_LIMIT.  A row's t is the running sum t += h,
+    so a range whose t the step cannot advance to within T_ROUNDING of the
+    step (a step near the float spacing of t) is rejected with a ValueError.
     """
     if r0 <= 0:
         raise ValueError(f"r0 must be positive, got {r0}")
@@ -146,6 +153,12 @@ def integrate_profile(
     t0, t1 = t_range
     if t0 == t1:
         raise ValueError("empty integration range")
+    far = max(abs(t0), abs(t1))
+    if math.ulp(far) / 2 > T_ROUNDING * step:
+        raise ValueError(
+            f"step {step} is below the float resolution of t near {far}: t += step rounds"
+            f" by up to {math.ulp(far) / 2}, more than {T_ROUNDING} of the step"
+        )
 
     def rhs(y: tuple[float, float]) -> tuple[float, float]:
         return y[1], cmc_rhs(y[0], y[1], K, H, n, sig)
@@ -206,35 +219,49 @@ def integrate_profile(
 
 
 @lru_cache(maxsize=None)
-def _lagrange_plan(width: int) -> tuple:
-    """Index tuples of the Lagrange-derivative sums for `width` nodes: per node j,
-    (j, the factor indices m of each product over p != j, the indices m != j)."""
-    plan = []
-    for j in range(width):
-        others = tuple(m for m in range(width) if m != j)
-        products = tuple(tuple(m for m in others if m != p) for p in others)
-        plan.append((j, products, others))
-    return tuple(plan)
+def _lagrange_stencil(width: int):
+    """`stencil(ts, ys, x)`: the derivative at x of the polynomial through the
+    `width` nodes (ts, ys), compiled as straight-line code on first use.
+
+    It performs the float operations of the plain loop
+        total = 0.0
+        for each node j:
+            num = 0.0 + sum over p != j of (1.0 * prod_{m != j, p} (x - t_m))
+            denom = 1.0 * prod_{m != j} (t_j - t_m)
+            total += y_j * num / denom
+    in that order, so its result is the same bits.  Each x - t_m is taken
+    once, and so is each product: two nodes share it (m runs over all but
+    j and p), and the first names it with `:=`.
+    """
+    nodes = range(width)
+    lines = [f"    {', '.join(f't{m}' for m in nodes)}, = ts"]
+    lines += [f"    o{m} = x - t{m}" for m in nodes]
+    lines.append("    total = 0.0")
+    named: dict[tuple, str] = {}
+    for j in nodes:
+        others = [m for m in nodes if m != j]
+        num = ["0.0"]
+        for p in others:
+            factors = tuple(m for m in others if m != p)
+            if factors not in named:
+                named[factors] = f"q{len(named)}"
+                product = " * ".join(["1.0"] + [f"o{m}" for m in factors])
+                num.append(f"({named[factors]} := {product})")
+            else:
+                num.append(named[factors])
+        denom = " * ".join(["1.0"] + [f"(t{j} - t{m})" for m in others])
+        lines += [f"    num = {' + '.join(num)}", f"    denom = {denom}",
+                  f"    total += ys[{j}] * num / denom"]
+    source = "def stencil(ts, ys, x):\n" + "\n".join(lines + ["    return total"])
+    namespace = {}
+    exec(source, namespace)
+    return namespace["stencil"]
 
 
 def _lagrange_derivative(ts: list[float], ys: list[float], x: float) -> float:
     """Derivative at x of the interpolating polynomial through (ts, ys):
     sum_j y_j sum_{p != j} prod_{m != j, p} (x - t_m) / prod_{m != j} (t_j - t_m)."""
-    offsets = [x - tm for tm in ts]
-    total = 0.0
-    for j, products, others in _lagrange_plan(len(ts)):
-        num = 0.0
-        for factors in products:
-            prod = 1.0
-            for m in factors:
-                prod *= offsets[m]
-            num += prod
-        tj = ts[j]
-        denom = 1.0
-        for m in others:
-            denom *= tj - ts[m]
-        total += ys[j] * num / denom
-    return total
+    return _lagrange_stencil(len(ts))(ts, ys, x)
 
 
 class HermiteProfile:
@@ -256,13 +283,12 @@ class HermiteProfile:
         self.r1s = [row.r1 for row in rows]
         width = 5 if len(rows) >= 5 else len(rows)
         last = len(rows) - width
+        stencil = _lagrange_stencil(width)
         self.r2s = []
         for i in range(len(rows)):
             lo = max(0, min(i - width // 2, last))
             window = slice(lo, lo + width)
-            self.r2s.append(
-                _lagrange_derivative(self.ts[window], self.r1s[window], self.ts[i])
-            )
+            self.r2s.append(stencil(self.ts[window], self.r1s[window], self.ts[i]))
 
     def _segment(self, t: float) -> tuple[int, float, float]:
         i = bisect_right(self.ts, t) - 1

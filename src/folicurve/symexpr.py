@@ -322,6 +322,14 @@ class SymExpr:
         that starts a product (a no-op for float bindings, a conversion for
         integer ones).  A binding is read as `b[int(ind)]`, which an
         `Indeterminate`-keyed mapping and a dense sequence both answer.
+
+        Two rewrites drop work without changing a bit.  A product prefix that
+        several terms share (`(1.0 * x) * kap`, say) is computed once, by the
+        first term that reaches it, and named with `:=` there, so every
+        operation still happens in the term loop's order.  A coefficient whose
+        float is 1.0 or -1.0 folds into the sum as `+ p` or `- p`: p starts
+        from `1.0 * first factor`, so it is a float, and `1.0 * p` is p while
+        `s + -1.0 * p` is `s - p` in IEEE arithmetic.
         """
         used = sorted(self.indeterminates())
         names = {ind: ind.name.lower() for ind in used}
@@ -336,7 +344,7 @@ class SymExpr:
                 lines.append(f"    {name} = {expr}")
             return name
 
-        summands = ["0.0"]
+        products = []
         for exps, coeff in self._terms.items():
             factors = []
             for ind in used:
@@ -348,10 +356,41 @@ class SymExpr:
                     factors.append(local(f"{names[ind]}_{suffix}", f"{names[ind]} ** {e}"))
             if factors:
                 factors[0] = local(f"f_{factors[0]}", f"1.0 * {factors[0]}")
-                summands.append(f"{float(coeff)!r} * ({' * '.join(factors)})")
+            products.append((tuple(factors), float(coeff)))
+
+        def longest(factors: tuple, prefixes) -> int:
+            """Length of the longest prefix of two or more factors in `prefixes`, else 1."""
+            end = len(factors)
+            while end > 1 and factors[:end] not in prefixes:
+                end -= 1
+            return end
+
+        # a term reuses the longest product prefix an earlier term computed
+        seen: set[tuple] = set()
+        reused: set[tuple] = set()
+        for factors, _ in products:
+            reused.add(factors[:longest(factors, seen)])
+            seen.update(factors[:end] for end in range(2, len(factors) + 1))
+        named: dict[tuple, str] = {}
+        summands = ["0.0"]
+        for factors, coeff in products:
+            if not factors:
+                summands.append(f"+ {coeff!r}")
+                continue
+            start = longest(factors, named)
+            expr = named.get(factors[:start], factors[0])
+            for end in range(start + 1, len(factors) + 1):
+                expr = f"{expr} * {factors[end - 1]}"
+                if factors[:end] in reused:
+                    named[factors[:end]] = f"p{len(named)}"
+                    expr = f"({named[factors[:end]]} := {expr})"
+            if coeff == 1.0:
+                summands.append(f"+ {expr}")
+            elif coeff == -1.0:
+                summands.append(f"- {expr}")
             else:
-                summands.append(repr(float(coeff)))
-        source = "def kernel(b):\n" + "\n".join(lines + ["    return " + " + ".join(summands)])
+                summands.append(f"+ {coeff!r} * ({expr})")
+        source = "def kernel(b):\n" + "\n".join(lines + ["    return " + " ".join(summands)])
         namespace = {}
         exec(source, namespace)
         return namespace["kernel"]

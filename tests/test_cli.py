@@ -304,6 +304,7 @@ class TestBadInput:
             ["scan", "--k", "2" + "+t" * 2000, "--r", "1", "--n", "3", "--t", "0:1"],
             SCAN + ["--n", "3", "--cmc-tol", "-1"],
             SCAN + ["--n", "3", "--cmc-tol", "0"],
+            ["generate", "--n", "3", "--K", "1", "--t", "10000000000000:10000000000000.1:1e-3"],
             *OVERFLOWS,
         ],
         ids=[
@@ -323,7 +324,7 @@ class TestBadInput:
             "scan-k-dash-h-is-a-value", "no-command", "unknown-command",
             "scan-infinite-center", "convert-K-nan", "convert-k-overflow", "convert-K-underflow",
             "scan-deep-parentheses", "scan-long-sum", "scan-cmc-tol-negative",
-            "scan-cmc-tol-zero", *OVERFLOW_IDS,
+            "scan-cmc-tol-zero", "generate-step-below-t-resolution", *OVERFLOW_IDS,
         ],
     )
     def test_exit_two_with_one_line(self, argv, capsys):

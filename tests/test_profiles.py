@@ -221,6 +221,22 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_profile(1.0, 0.0, (0.3, 0.3), 1e-3, 1.0, 0.0, 3, RIEMANNIAN)
 
+    @pytest.mark.parametrize("t_range", [(1e13, 1e13 + 0.1), (-1e13 - 0.1, -1e13)])
+    def test_rejects_a_step_below_the_resolution_of_t(self, t_range):
+        # at |t| = 1e13 floats lie 0.00195 apart, so t += 1e-3 moved each row by
+        # 0.00195 and the last row ended past t1
+        with pytest.raises(ValueError, match=r"^step 0\.001 is below the float resolution of t"
+                                             r" near 10000000000000\.1: "):
+            integrate_profile(1.0, 0.0, t_range, 1e-3, 1.0, 0.0, 3, RIEMANNIAN)
+
+    def test_far_range_with_exact_enough_steps_runs(self):
+        # t += h rounds by 5.8e-11 at t = 1e6, far below a millionth of the step
+        profile = integrate_profile(1.0, 0.0, (1e6, 1e6 + 0.0095), 1e-3, 1.0, 0.0, 3, RIEMANNIAN)
+        assert len(profile.rows) == 11
+        steps = [b.t - a.t for a, b in zip(profile.rows, profile.rows[1:])]
+        assert all(abs(h - 1e-3) <= profiles.T_ROUNDING * 1e-3 for h in steps[:-1])
+        assert abs(steps[-1] - 5e-4) <= profiles.T_ROUNDING * 1e-3
+
 
 def triple_loop_lagrange_derivative(ts: list[float], ys: list[float], x: float) -> float:
     """_lagrange_derivative as a plain triple loop that recomputes x - t_m in
