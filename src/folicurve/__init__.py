@@ -7,7 +7,6 @@ from .identity import (
     RIEMANNIAN,
     bracket_cubic,
     neg_nH_S3,
-    theorem_residuals,
     verify_squared_identity,
 )
 from .geometry import (
@@ -37,7 +36,6 @@ __all__ = [
     "LORENTZIAN",
     "bracket_cubic",
     "neg_nH_S3",
-    "theorem_residuals",
     "verify_squared_identity",
     "FoliationJet",
     "SurfacePoint",

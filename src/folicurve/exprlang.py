@@ -450,11 +450,6 @@ def compile_exprs(*exprs: Expr):
     return namespace["kernel"]
 
 
-def evaluate(e: Expr, t: float) -> float:
-    """One-off float value of `e` at `t`; keep `compile_exprs(e)` to repeat it."""
-    return compile_exprs(e)(t)[0]
-
-
 @dataclass(frozen=True)
 class ProfileFunctions:
     """k(t), r(t) with symbolic first and second derivatives."""

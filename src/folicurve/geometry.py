@@ -74,11 +74,6 @@ class FoliationJet:
         if not all(map(math.isfinite, jet)):
             raise InvalidSphere(f"need a finite (k, k', k'', r, r', r'') at t={self.t}, got {jet}")
 
-    def bindings(self, n: int, x: float) -> list:
-        """Dense `eval_numeric` bindings of the jet in dimension n at X = x: one
-        slot per `Indeterminate`, in its order, with SIG unbound (None)."""
-        return [x, self.k, self.k1, self.k2, self.r, self.r1, self.r2, None, float(n)]
-
 
 class SurfacePoint(NamedTuple):
     """A point at height t as x1 = |(x_1, ..., x_{n-1})| and x_n: every quantity
@@ -130,11 +125,6 @@ def _sum(values) -> float:
     return total
 
 
-def leaf_residual(p: SurfacePoint, k: float, r: float) -> float:
-    """x1^2 + (x_n - k)^2 - r^2: zero on the leaf sphere of center k, radius r."""
-    return p.x1 * p.x1 + (p.xn - k) ** 2 - r ** 2
-
-
 def _require_on_leaf(p: SurfacePoint, k: float, r: float) -> None:
     """Reject a point off the leaf of center k and radius r by more than the
     rounding of a constructed point.
@@ -142,7 +132,7 @@ def _require_on_leaf(p: SurfacePoint, k: float, r: float) -> None:
     Rounding x_n = k + r cos(theta) shifts x_n - k by about eps * k, so the
     residual of a point built on the leaf grows like eps * k * r.
     """
-    res = p.x1 * p.x1 + (p.xn - k) ** 2 - r ** 2  # leaf_residual(p, k, r), inline
+    res = p.x1 * p.x1 + (p.xn - k) ** 2 - r ** 2
     tol = LEAF_TOL + LEAF_ROUNDING * abs(k * r)
     if abs(res) > tol:
         raise NotOnLeaf(f"leaf equation residual {res} at x_n={p.xn}, t={p.t}")
@@ -157,7 +147,7 @@ def mean_curvature_at(
     non-finite S^2 or H raises OverflowError here."""
     k, r = jet.k, jet.r
     _require_on_leaf(p, k, r)
-    # jet.bindings(n, p.xn), inline
+    # dense bindings in Indeterminate order: X, KAP, KAP1, KAP2, RHO, RHO1, RHO2, SIG, NU
     bindings = [p.xn, k, jet.k1, jet.k2, r, jet.r1, jet.r2, None, float(n)]
     s2 = s_squared_reduced(sig).eval_numeric(bindings)
     if s2 <= DEGENERACY_TOL:

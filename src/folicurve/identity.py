@@ -131,11 +131,6 @@ def s_squared_unreduced(sig: GeometrySignature) -> SymExpr:
     return sig.epsilon * spatial + jet_A() ** 2
 
 
-def gradient_norm_sq(sig: GeometrySignature) -> SymExpr:
-    """|grad f|^2 before level-set reduction (Lorentzian: -<grad f, grad f>)."""
-    return 4 * s_squared_unreduced(sig)
-
-
 @lru_cache(maxsize=None)
 def s_squared_reduced(sig: GeometrySignature) -> SymExpr:
     """S^2 on the leaf, proved once equal to A^2 + eps * X^2 r^2: the factored
@@ -269,33 +264,3 @@ def rotational_ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr, int]:
     branch = -verify_squared_identity(sig).sign
     return cubic.c3.coeff_of(Indeterminate.KAP2, 1), cubic.c3.coeff_of(Indeterminate.KAP2, 0), branch
 
-
-@lru_cache(maxsize=None)
-def _residual_forms_verified(sig: GeometrySignature) -> bool:
-    """Prove once that the factored residual formulas are the symbolic
-    coefficients: the degree-0 coefficient of S^6 is (r r' - k k')^6 and the
-    linear bracket coefficient is k (nu-2) (r r' - k k')^2."""
-    gap = RHO * RHO1 - KAP * KAP1
-    if (s_squared_reduced(sig) ** 3).coeff_of_X(0) != gap ** 6:
-        raise IdentityViolation(f"degree-0 coefficient of S^6 is not gap^6 ({sig.label})")
-    if bracket_cubic(sig).c1 != KAP * (NU - 2) * gap ** 2:
-        raise IdentityViolation(f"linear bracket coefficient mismatch ({sig.label})")
-    return True
-
-
-def theorem_residuals(jet, H: float, n: int, sig: GeometrySignature) -> tuple[float, float]:
-    """Numeric values of the two quantities the squared identity forces to zero:
-    (n^2 H^2 (r r' - k k')^6,  k (n-2) (r r' - k k')^2).
-
-    Evaluated in factored form (cancellation-free); the factored formulas are
-    checked against the symbolic coefficients once per signature.
-    """
-    if n < 2:
-        raise ValueError("dimension must be at least 2")
-    if not (jet.k > jet.r > 0):
-        raise InvalidSphere(f"need k > r > 0, got k={jet.k}, r={jet.r}")
-    _residual_forms_verified(sig)
-    gap = jet.r * jet.r1 - jet.k * jet.k1
-    deg0 = (n * H) ** 2 * gap ** 6
-    c1_val = jet.k * (n - 2) * gap ** 2
-    return deg0, c1_val

@@ -34,10 +34,6 @@ class ValidationFailed(ValueError):
     """Closed-loop validation found a leaf off the target curvature."""
 
 
-def admissibility_factor(r: float, k1: float, sig: GeometrySignature) -> float:
-    return r * r + k1 * k1 if sig is RIEMANNIAN else k1 * k1 - r * r
-
-
 def cmc_rhs(
     r: float,
     r1: float,
@@ -58,7 +54,6 @@ def cmc_rhs(
         raise InvalidSphere(f"r = {r}")
     k = math.hypot(K, r)
     k1 = r * r1 / k
-    # admissibility_factor(r, k1, sig), inline
     if sig is RIEMANNIAN:
         factor = r * r + k1 * k1
     else:
@@ -144,7 +139,8 @@ def integrate_profile(
     admissibility factor fails; raises StepUnstable if the local error
     estimate exceeds STEP_ERROR_LIMIT.  A row's t is the running sum t += h,
     so a range whose t the step cannot advance to within T_ROUNDING of the
-    step (a step near the float spacing of t) is rejected with a ValueError.
+    step (a step near the float spacing of t) is rejected with a ValueError,
+    and a last remainder step that t cannot take by the same rule is dropped.
     """
     if r0 <= 0:
         raise ValueError(f"r0 must be positive, got {r0}")
@@ -177,7 +173,7 @@ def integrate_profile(
     count = int(span / step + 1e-9)
     remainder = span - count * step
     steps = [step] * count
-    if remainder > 1e-12 * max(1.0, span):
+    if remainder > 1e-12 * max(1.0, span) and math.ulp(far) / 2 <= T_ROUNDING * remainder:
         steps.append(remainder)
 
     t = t0
@@ -258,19 +254,18 @@ def _lagrange_stencil(width: int):
     return namespace["stencil"]
 
 
-def _lagrange_derivative(ts: list[float], ys: list[float], x: float) -> float:
-    """Derivative at x of the interpolating polynomial through (ts, ys):
-    sum_j y_j sum_{p != j} prod_{m != j, p} (x - t_m) / prod_{m != j} (t_j - t_m)."""
-    return _lagrange_stencil(len(ts))(ts, ys, x)
-
-
 class HermiteProfile:
     """Quintic-Hermite interpolant of a stored profile; exact at the nodes.
 
     Uses only the stored (r, r') samples: node second derivatives are
     estimated by five-point stencils on the r' sequence (so the closed loop
     never consults the generating equation), and the k-jet is recomputed from
-    K so the rotational constraint holds exactly everywhere.
+    K so the rotational constraint holds exactly everywhere.  r and r' are the
+    quintic's value and slope; r'' is the slope of the cubic Hermite
+    interpolant of r' with those node second derivatives as its node slopes.
+    The quintic's own second derivative would add terms of size |r| / w^2
+    that cancel, so the rounding of the stored r would reach r'' as about
+    60 eps |r| / w^2; from r' it is about eps |r'| / w.
     """
 
     def __init__(self, profile: RotationalProfile):
@@ -319,14 +314,9 @@ class HermiteProfile:
             + (-12 * s2 + 28 * s3 - 15 * s4) * d1
             + 0.5 * (3 * s2 - 8 * s3 + 5 * s4) * c1
         ) / w
-        curve = (
-            (-60 * s + 180 * s2 - 120 * s3) * r0
-            + (-36 * s + 96 * s2 - 60 * s3) * d0
-            + 0.5 * (2 - 18 * s + 36 * s2 - 20 * s3) * c0
-            + (60 * s - 180 * s2 + 120 * s3) * r1
-            + (-24 * s + 84 * s2 - 60 * s3) * d1
-            + 0.5 * (6 * s - 24 * s2 + 20 * s3) * c1
-        ) / (w * w)
+        curve = ((6 * s - 6 * s2) * (self.r1s[i + 1] - self.r1s[i])
+                 + (1 - 4 * s + 3 * s2) * self.r2s[i] * w
+                 + (-2 * s + 3 * s2) * self.r2s[i + 1] * w) / w
         return value, slope, curve
 
     def jet_values(self, t: float) -> tuple[float, float, float, float, float, float]:

@@ -268,10 +268,6 @@ class SymExpr:
             out[tuple(new)] = coeff
         return SymExpr._make(out)
 
-    def coeff_of_X(self, degree: int) -> "SymExpr":
-        """The coefficient of X^degree, free of X."""
-        return self.coeff_of(Indeterminate.X, degree)
-
     def indeterminates(self) -> set[Indeterminate]:
         # one exponent column per indeterminate, in index order
         return {ind for ind, column in zip(Indeterminate, zip(*self._terms)) if any(column)}

@@ -29,11 +29,11 @@ from folicurve.identity import (
     jet_A,
     jet_B,
     neg_nH_S3,
-    theorem_residuals,
+    s_squared_reduced,
     verify_squared_identity,
 )
 from folicurve.profiles import integrate_profile, validate_profile
-from folicurve.symexpr import KAP, KAP1, NU, RHO, X, rational
+from folicurve.symexpr import KAP, KAP1, NU, RHO, RHO1, X, Indeterminate, rational
 
 SEED = 20260808
 
@@ -41,11 +41,6 @@ SEED = 20260808
 def report(num: int, description: str, ok: bool) -> None:
     print(f"\ncriterion {num:02d} {'PASS' if ok else 'FAIL'}: {description}")
     assert ok, f"criterion {num}: {description}"
-
-
-class SimpleJet:
-    def __init__(self, k, k1, r, r1):
-        self.k, self.k1, self.r, self.r1 = k, k1, r, r1
 
 
 def test_criterion_01_riemannian_identity_exact():
@@ -96,16 +91,19 @@ def test_criterion_03_divergence_display_term_for_term():
 
 def test_criterion_04_coefficient_conclusions():
     symbolic_ok = True
+    gap = RHO * RHO1 - KAP * KAP1
     for sig in (RIEMANNIAN, LORENTZIAN):
         cubic = bracket_cubic(sig)
         square = cubic.assemble() * cubic.assemble()
-        symbolic_ok &= square.coeff_of_X(0).is_zero
-        symbolic_ok &= square.coeff_of_X(2) == cubic.c1 * cubic.c1
+        symbolic_ok &= square.coeff_of(Indeterminate.X, 0).is_zero
+        symbolic_ok &= square.coeff_of(Indeterminate.X, 2) == cubic.c1 * cubic.c1
+        # the factored forms the numeric part evaluates
+        symbolic_ok &= (s_squared_reduced(sig) ** 3).coeff_of(Indeterminate.X, 0) == gap ** 6
+        symbolic_ok &= cubic.c1 == KAP * (NU - 2) * gap ** 2
 
     rng = random.Random(SEED)
     numeric_ok = True
     for trial in range(1000):
-        sig = RIEMANNIAN if trial % 2 == 0 else LORENTZIAN
         n = rng.choice([2, 3, 4, 5])
         h = rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
         r = rng.uniform(0.3, 2.0)
@@ -117,8 +115,11 @@ def test_criterion_04_coefficient_conclusions():
             k1 = rng.uniform(-2.0, 2.0)
             if abs(r * r1 - k * k1) < 1e-3:
                 k1 += 1.0
-        deg0, c1_val = theorem_residuals(SimpleJet(k, k1, r, r1), h, n, sig)
-        constrained = abs(r * r1 - k * k1) <= 1e-12
+        # n^2 H^2 (r r' - k k')^6 and k (n-2) (r r' - k k')^2, in factored form
+        gap_val = r * r1 - k * k1
+        deg0 = (n * h) ** 2 * gap_val ** 6
+        c1_val = k * (n - 2) * gap_val ** 2
+        constrained = abs(gap_val) <= 1e-12
         if constrained:
             numeric_ok &= abs(deg0) < 1e-40 and abs(c1_val) < 1e-20
         else:

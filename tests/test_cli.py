@@ -510,6 +510,26 @@ class TestGenerate:
         assert payload["signature"] == "riemannian"
         assert len(payload["rows"]) == 101
 
+    @pytest.mark.parametrize("t_range", ["0:2e-5:1e-6", "0:2e-6:1e-7", "0:1e-8:1e-8"])
+    def test_small_steps_validate(self, t_range, capsys):
+        # r'' of the interpolant comes from the stored r', whose rounding it divides
+        # by the step once, not from r, whose rounding the quintic divides by it twice
+        code, out, err = run(["generate", "--n", "3", "--K", "1", "--t", t_range, "--validate"],
+                             capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["validated"] is True
+
+    def test_remainder_below_the_resolution_of_t_is_dropped(self, tmp_path, capsys):
+        # ten 1e-3 steps leave a 9.3e-12 remainder, which t = 1e6 + 0.01 cannot take
+        out_csv = tmp_path / "profile.csv"
+        code, out, err = run(["generate", "--n", "3", "--K", "1", "--t", "1000000:1000000.01",
+                              "--validate", "--out-csv", str(out_csv)], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["rows"] == 11
+        with open(out_csv) as handle:
+            ts = [float(row["t"]) for row in csv.DictReader(handle)]
+        assert len(ts) == 11 and all(a < b for a, b in zip(ts, ts[1:]))
+
 
 class TestConvert:
     def test_euclidean_to_hyperbolic(self, capsys):

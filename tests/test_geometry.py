@@ -10,8 +10,9 @@ from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from folicurve import geometry
-from folicurve.exprlang import ProfileFunctions, differentiate, evaluate, parse
+from folicurve.exprlang import ProfileFunctions, compile_exprs, differentiate, parse
 from folicurve.geometry import (
+    DEGENERACY_TOL,
     DegenerateNormal,
     FoliationJet,
     InvalidSphere,
@@ -27,11 +28,10 @@ from folicurve.geometry import (
     hyperbolic_to_euclidean,
     is_spacelike,
     leaf_points,
-    leaf_residual,
     mean_curvature_at,
     mean_curvature_fd,
 )
-from folicurve.identity import LORENTZIAN, RIEMANNIAN
+from folicurve.identity import LORENTZIAN, RIEMANNIAN, neg_nH_S3, s_squared_reduced
 from folicurve.profiles import cmc_rhs
 from folicurve.symexpr import Indeterminate
 
@@ -149,13 +149,26 @@ class TestPointPath:
                 assert bits((point.x1, point.xn, point.t)) == bits(expected)
 
     def test_bindings_follow_indeterminate_order(self):
-        jet = FoliationJet(t=0.5, k=3.0, k1=0.1, k2=-0.2, r=1.5, r1=0.3, r2=0.4)
-        values = jet.bindings(4, 2.5)
-        assert len(values) == len(Indeterminate)
-        assert {ind.name: value for ind, value in zip(Indeterminate, values)} == {
-            "X": 2.5, "KAP": 3.0, "KAP1": 0.1, "KAP2": -0.2, "RHO": 1.5, "RHO1": 0.3,
-            "RHO2": 0.4, "SIG": None, "NU": 4.0,
+        # mean_curvature_at builds its dense bindings inline: they must give the
+        # bits of the verified polynomials bound by an Indeterminate-keyed mapping
+        jet = FoliationJet(t=0.5, k=3.0, k1=8.0, k2=-0.2, r=0.5, r1=0.3, r2=0.4)
+        n = 4
+        bindings = {
+            Indeterminate.KAP: jet.k, Indeterminate.KAP1: jet.k1, Indeterminate.KAP2: jet.k2,
+            Indeterminate.RHO: jet.r, Indeterminate.RHO1: jet.r1, Indeterminate.RHO2: jet.r2,
+            Indeterminate.NU: float(n),
         }
+        for sig in (RIEMANNIAN, LORENTZIAN):
+            checked = 0
+            for point in leaf_points(jet, n, 16):
+                bindings[Indeterminate.X] = point.xn
+                s2 = s_squared_reduced(sig).eval_numeric(bindings)
+                if s2 <= DEGENERACY_TOL:  # not spacelike: mean_curvature_at raises
+                    continue
+                expected = -neg_nH_S3(sig).eval_numeric(bindings) / (n * s2 * math.sqrt(s2))
+                assert float.hex(mean_curvature_at(point, jet, n, sig)) == float.hex(expected)
+                checked += 1
+            assert checked >= 4, sig
 
 
 class TestMeanCurvature:
@@ -205,7 +218,8 @@ class TestMeanCurvature:
     def test_leaf_tolerance_scales_with_center_and_radius(self):
         jet = FoliationJet(t=0.0, k=3.0e6, k1=0.0, k2=0.0, r=10.0, r1=0.0, r2=0.0)
         points = leaf_points(jet, 3, 8)
-        assert max(abs(leaf_residual(p, jet.k, jet.r)) for p in points) > LEAF_TOL
+        residuals = [p.x1 * p.x1 + (p.xn - jet.k) ** 2 - jet.r ** 2 for p in points]
+        assert max(map(abs, residuals)) > LEAF_TOL
         for point in points:
             mean_curvature_at(point, jet, 3, RIEMANNIAN)
         off = SurfacePoint(x1=points[0].x1 + 1e-3, xn=points[0].xn, t=0.0)
@@ -468,7 +482,8 @@ class TestFiniteDifferenceOracle:
         profile = ProfileFunctions.from_strings("3000000", "10")
         jet = FoliationJet.from_profile(profile, 0.0)
         points = leaf_points(jet, 3, 8)
-        assert max(abs(leaf_residual(p, jet.k, jet.r)) for p in points) > LEAF_TOL
+        residuals = [p.x1 * p.x1 + (p.xn - jet.k) ** 2 - jet.r ** 2 for p in points]
+        assert max(map(abs, residuals)) > LEAF_TOL
         for point in points:
             mean_curvature_fd(point, profile, 3, RIEMANNIAN, h=1e-3)
         off = SurfacePoint(x1=points[0].x1 + 1e-3, xn=points[0].xn, t=0.0)
@@ -520,7 +535,7 @@ class TestConstancyScan:
         dK = differentiate(parse(f"sqrt(({k_text})^2 - ({r_text})^2)"))
         for t in (0.0, 0.4, 0.9):
             jet = FoliationJet.from_profile(profile, t)
-            assert dKdt_of_jet(jet) == pytest.approx(evaluate(dK, t), abs=1e-12)
+            assert dKdt_of_jet(jet) == pytest.approx(compile_exprs(dK)(t)[0], abs=1e-12)
 
     @pytest.mark.parametrize("sig", [RIEMANNIAN, LORENTZIAN])
     def test_rejects_no_points_per_leaf(self, sig):

@@ -11,23 +11,22 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import folicurve
 from folicurve import cli, identity
 from folicurve.identity import (
     CubicCoefficients,
     GeometrySignature,
     IdentityViolation,
-    InvalidSphere,
     LORENTZIAN,
     RIEMANNIAN,
     apply_rotational_constraint,
     bracket_cubic,
-    gradient_norm_sq,
     jet_A,
     jet_B,
     neg_nH_S3,
     rotational_ode_form,
     s_squared_reduced,
-    theorem_residuals,
+    s_squared_unreduced,
     verify_squared_identity,
 )
 from folicurve.symexpr import (
@@ -49,11 +48,6 @@ from folicurve.symexpr import (
 BOTH = (RIEMANNIAN, LORENTZIAN)
 
 
-class SimpleJet:
-    def __init__(self, k, k1, r, r1):
-        self.k, self.k1, self.r, self.r1 = k, k1, r, r1
-
-
 def substitute_cylinder(p: SymExpr) -> SymExpr:
     for ind in (Indeterminate.KAP1, Indeterminate.KAP2, Indeterminate.RHO1, Indeterminate.RHO2):
         p = p.substitute(ind, SymExpr())
@@ -62,15 +56,15 @@ def substitute_cylinder(p: SymExpr) -> SymExpr:
 
 class TestNormSquared:
     def test_riemannian_reduces_to_quarter_norm(self):
-        reduced = gradient_norm_sq(RIEMANNIAN).reduce_level_set()
+        reduced = (4 * s_squared_unreduced(RIEMANNIAN)).reduce_level_set()
         assert reduced == rational(4) * (X ** 2 * RHO ** 2 + jet_A() ** 2)
 
     def test_lorentzian_reduces_with_negative_radial_term(self):
-        reduced = gradient_norm_sq(LORENTZIAN).reduce_level_set()
+        reduced = (4 * s_squared_unreduced(LORENTZIAN)).reduce_level_set()
         assert reduced == rational(4) * (-(X ** 2) * RHO ** 2 + jet_A() ** 2)
 
     def test_cylinder_jet(self):
-        reduced = substitute_cylinder(gradient_norm_sq(RIEMANNIAN).reduce_level_set())
+        reduced = substitute_cylinder((4 * s_squared_unreduced(RIEMANNIAN)).reduce_level_set())
         assert reduced == rational(4) * X ** 2 * RHO ** 2
 
     @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
@@ -243,6 +237,37 @@ class TestExactBoundary:
         importers, raisers = _boundary_crossings()
         assert importers - {"symexpr.py"} == {"identity.py"}
         assert raisers == {"identity.py"}
+
+
+def _unnamed_definitions() -> list[str]:
+    """Functions, classes and methods under src/folicurve that no code in
+    src/folicurve or perfbench names (as a name, an attribute, an imported name
+    or a string such as a `getattr` argument) other than by its own def."""
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    defined, named = [], set()
+    for path in sorted(SRC.glob("*.py")) + sorted(perfbench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if path.parent == SRC:
+                    defined.append(f"{path.name}:{node.name}")
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    exported = set(folicurve.__all__)
+    return [where for where in defined
+            if not ((name := where.split(":")[1]).startswith("__") and name.endswith("__"))
+            and name not in named and name not in exported]
+
+
+class TestNoDeadCode:
+    def test_every_definition_is_named_or_exported(self):
+        # a definition that only the tests call is dead weight in the product
+        assert _unnamed_definitions() == []
 
 
 class TestVerification:
@@ -439,19 +464,19 @@ class TestSquaredStructure:
     def test_square_has_no_low_terms(self, sig):
         q = bracket_cubic(sig).assemble()
         square = q * q
-        assert square.coeff_of_X(0).is_zero
-        assert square.coeff_of_X(1).is_zero
+        assert square.coeff_of(Indeterminate.X, 0).is_zero
+        assert square.coeff_of(Indeterminate.X, 1).is_zero
 
     @pytest.mark.parametrize("sig", BOTH)
     def test_degree_two_coefficient_is_c1_squared(self, sig):
         cubic = bracket_cubic(sig)
         square = cubic.assemble() * cubic.assemble()
-        assert square.coeff_of_X(2) == cubic.c1 * cubic.c1
+        assert square.coeff_of(Indeterminate.X, 2) == cubic.c1 * cubic.c1
 
     @pytest.mark.parametrize("sig", BOTH)
     def test_degree_zero_of_s6(self, sig):
         s6 = s_squared_reduced(sig) ** 3
-        assert s6.coeff_of_X(0) == (RHO * RHO1 - KAP * KAP1) ** 6
+        assert s6.coeff_of(Indeterminate.X, 0) == (RHO * RHO1 - KAP * KAP1) ** 6
 
     def test_gap_vanishes_exactly_when_K_is_constant(self):
         # K^2 = k^2 - r^2, so d(K^2)/dt = -2 gap with gap = r r' - k k'
@@ -461,47 +486,6 @@ class TestSquaredStructure:
     def test_x_divides_p(self, sig):
         exponents = {exps[Indeterminate.X] for exps, _ in neg_nH_S3(sig).terms()}
         assert exponents and min(exponents) >= 1
-
-
-class TestTheoremResiduals:
-    def test_forced_zero_on_constraint(self):
-        jet = SimpleJet(k=2.0, k1=0.75, r=1.5, r1=1.0)  # r r' = k k' = 1.5
-        deg0, c1_val = theorem_residuals(jet, H=3.0, n=4, sig=RIEMANNIAN)
-        assert deg0 == 0.0 and c1_val == 0.0
-
-    def test_dimension_two_minimal_gives_no_conclusion(self):
-        jet = SimpleJet(k=3.0, k1=1.0, r=1.0, r1=0.0)
-        deg0, c1_val = theorem_residuals(jet, H=0.0, n=2, sig=RIEMANNIAN)
-        assert deg0 == 0.0 and c1_val == 0.0
-
-    @pytest.mark.parametrize("sig", BOTH)
-    def test_worked_example(self, sig):
-        jet = SimpleJet(k=2.0, k1=1.0, r=1.0, r1=0.0)
-        deg0, c1_val = theorem_residuals(jet, H=1.0, n=3, sig=sig)
-        assert deg0 == pytest.approx(576.0, rel=1e-12)
-        assert c1_val == pytest.approx(8.0, rel=1e-12)
-
-    def test_invalid_jet(self):
-        with pytest.raises(InvalidSphere):
-            theorem_residuals(SimpleJet(1.0, 0.0, 1.0, 0.0), 1.0, 3, RIEMANNIAN)
-
-    @given(
-        st.floats(min_value=0.2, max_value=2.0),
-        st.floats(min_value=-2.0, max_value=2.0),
-        st.floats(min_value=-2.0, max_value=2.0),
-        st.floats(min_value=0.5, max_value=3.0),
-        st.sampled_from(BOTH),
-    )
-    @settings(max_examples=80)
-    def test_zero_iff_constraint(self, r, r1, k1, h, sig):
-        k = r + 1.0
-        jet = SimpleJet(k=k, k1=k1, r=r, r1=r1)
-        deg0, c1_val = theorem_residuals(jet, H=h, n=3, sig=sig)
-        gap = abs(r * r1 - k * k1)
-        if gap <= 1e-12:
-            assert abs(deg0) < 1e-40 and abs(c1_val) < 1e-20
-        else:
-            assert deg0 > 0.0 and c1_val > 0.0
 
 
 def sha256(text: str) -> str:

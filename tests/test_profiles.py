@@ -6,7 +6,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from folicurve import identity, profiles
@@ -22,7 +22,6 @@ from folicurve.profiles import (
     RotationalProfile,
     StepUnstable,
     ValidationFailed,
-    admissibility_factor,
     cmc_rhs,
     integrate_profile,
     validate_profile,
@@ -110,7 +109,7 @@ class TestCmcRhs:
                 Indeterminate.NU: float(n),
             }
         )
-        factor = admissibility_factor(r, k1, sig)
+        factor = r * r + k1 * k1 if sig is RIEMANNIAN else k1 * k1 - r * r
         branch = -verify_squared_identity(sig).sign
         residual = c3 - branch * n * H * factor * math.sqrt(factor)
         assert abs(residual) <= 1e-12
@@ -239,7 +238,7 @@ class TestIntegration:
 
 
 def triple_loop_lagrange_derivative(ts: list[float], ys: list[float], x: float) -> float:
-    """_lagrange_derivative as a plain triple loop that recomputes x - t_m in
+    """The Lagrange derivative as a plain triple loop that recomputes x - t_m in
     every product; the bit-identity reference."""
     total = 0.0
     for j, (tj, yj) in enumerate(zip(ts, ys)):
@@ -281,7 +280,7 @@ class TestHermiteProfile:
     @settings(max_examples=300)
     def test_lagrange_derivative_matches_triple_loop(self, window):
         ts, ys, x = window
-        value = profiles._lagrange_derivative(ts, ys, x)
+        value = profiles._lagrange_stencil(len(ts))(ts, ys, x)
         assert float.hex(value) == float.hex(triple_loop_lagrange_derivative(ts, ys, x))
 
     def test_exact_at_nodes(self):
@@ -352,6 +351,39 @@ class TestValidation:
         via_validate = validate_profile(profile, samples=10)
         assert via_validate.leaves == leaves
         assert direct.mean_H == pytest.approx(via_validate.mean_H, abs=1e-15)
+
+
+@st.composite
+def short_profiles(draw):
+    """Closed-loop inputs as the benchmark draws them, integrated over 4..20
+    steps of 1e-8 to 1e-3 (and a remainder), in either direction: at least
+    five rows, so that every node's r'' comes from a five-point stencil."""
+    sig = draw(st.sampled_from(BOTH))
+    n = draw(st.integers(min_value=2, max_value=4))
+    if sig is RIEMANNIAN:
+        K, r0 = draw(st.floats(0.5, 2.0)), draw(st.floats(0.7, 1.5))
+        r1, H = draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.6, 0.1))
+    else:
+        K, r0 = draw(st.floats(0.7, 1.5)), draw(st.floats(0.8, 1.3))
+        r1, H = draw(st.floats(1.2, 1.5)) * math.hypot(K, r0), draw(st.floats(-0.4, 0.1))
+    step = 10.0 ** draw(st.floats(-8.0, -3.0))
+    span = step * (draw(st.integers(min_value=4, max_value=20))
+                   + draw(st.just(0.0) | st.floats(0.05, 0.95)))
+    t0 = draw(st.sampled_from([0.0, 0.5, -1.0]))
+    t1 = t0 + span * draw(st.sampled_from([1.0, -1.0]))
+    return r0, r1, (t0, t1), step, K, H, n, sig
+
+
+class TestSmallSteps:
+    @given(short_profiles())
+    @settings(max_examples=60, deadline=None)
+    def test_closed_loop_holds_at_every_step(self, args):
+        try:
+            profile = integrate_profile(*args)
+        except StepUnstable:
+            assume(False)
+        assume(profile.halted is None)
+        validate_profile(profile)  # raises ValidationFailed past H_TOL or DKDT_LIMIT
 
 
 class TestExports:
