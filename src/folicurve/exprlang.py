@@ -17,14 +17,15 @@ offset.
 Exponents are rational literals only, so differentiation stays total.  Bare
 identifiers are the named constants pi and e; function identifiers are
 exp, ln, sin, cos, sinh, cosh, tanh, sqrt.  `_FUNCTION_TABLE` is the one
-place that spells a function: its float function, its derivative rule and its
-kernel's domain check, so adding a function takes one row.
+place that spells a function (float function, derivative rule, kernel domain
+check), and `_OPERATOR_TABLE` a `BinOp`'s operator (derivative rule, kernel
+domain check), so adding either takes one row.
 
 Float evaluation compiles trees once (`compile_exprs`) into a straight-line
 kernel that performs a recursive walk's operations and domain checks in the
 walk's order, computing each repeated subtree once, so values and the first
-error are those of the walk.  `ProfileFunctions` keeps one kernel for its
-2-jet and one each for k and r.
+error are those of the walk.  `ProfileFunctions` holds k and r, and keeps one
+kernel for their 2-jet (it differentiates them) and one each for k and r.
 """
 
 from __future__ import annotations
@@ -78,25 +79,8 @@ class Neg(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
+class BinOp(Expr):
+    op: str  # a key of _OPERATOR_TABLE
     left: Expr
     right: Expr
 
@@ -173,13 +157,13 @@ class _Parser:
     def expr(self) -> Expr:
         node = self.term()
         while op := self.accept("+-"):
-            node = (Add if op[1] == "+" else Sub)(node, self.term())
+            node = BinOp(op[1], node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.factor()
         while op := self.accept("*/"):
-            node = (Mul if op[1] == "*" else Div)(node, self.factor())
+            node = BinOp(op[1], node, self.factor())
         return node
 
     def factor(self) -> Expr:
@@ -252,7 +236,7 @@ def _add(a: Expr, b: Expr) -> Expr:
         return b
     if b == _ZERO:
         return a
-    return Add(a, b)
+    return BinOp("+", a, b)
 
 
 def _sub(a: Expr, b: Expr) -> Expr:
@@ -262,7 +246,7 @@ def _sub(a: Expr, b: Expr) -> Expr:
         return a
     if a == _ZERO:
         return _neg(b)
-    return Sub(a, b)
+    return BinOp("-", a, b)
 
 
 def _neg(a: Expr) -> Expr:
@@ -280,7 +264,7 @@ def _mul(a: Expr, b: Expr) -> Expr:
         return b
     if b == _ONE:
         return a
-    return Mul(a, b)
+    return BinOp("*", a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
@@ -290,7 +274,7 @@ def _div(a: Expr, b: Expr) -> Expr:
         return a
     if isinstance(a, Num) and isinstance(b, Num) and b.value != 0:
         return Num(a.value / b.value)
-    return Div(a, b)
+    return BinOp("/", a, b)
 
 
 def _pow(base: Expr, q: Fraction) -> Expr:
@@ -319,13 +303,24 @@ FUNCTIONS = tuple(_FUNCTION_TABLE)
 _KERNEL_GLOBALS = {"DomainError": DomainError,
                    **{name: value for name, (value, _, _) in _FUNCTION_TABLE.items()}}
 
+# Python operator -> (d/dt (a op b) from a, b, da, db, the kernel's domain
+# check on b as (condition, message) or None).  A checked operator evaluates
+# and checks its right operand before its left, as the walk does.
+_OPERATOR_TABLE = {
+    "+": (lambda a, b, da, db: _add(da, db), None),
+    "-": (lambda a, b, da, db: _sub(da, db), None),
+    "*": (lambda a, b, da, db: _add(_mul(da, b), _mul(a, db)), None),
+    "/": (lambda a, b, da, db: _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, Fraction(2))),
+          ("{} == 0", "division by zero")),
+}
 
-def _function(name: str) -> tuple:
-    """The table row of a `Call`'s function; a hand-built tree may name any."""
+
+def _row(table: dict, kind: str, name: str) -> tuple:
+    """The table row of a function or operator; a hand-built tree may name any."""
     try:
-        return _FUNCTION_TABLE[name]
+        return table[name]
     except KeyError:
-        raise ValueError(f"unknown function {name}") from None
+        raise ValueError(f"unknown {kind} {name}") from None
 
 
 def differentiate(e: Expr) -> Expr:
@@ -336,28 +331,16 @@ def differentiate(e: Expr) -> Expr:
         return _ONE
     if isinstance(e, Neg):
         return _neg(differentiate(e.arg))
-    if isinstance(e, Add):
-        return _add(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Sub):
-        return _sub(differentiate(e.left), differentiate(e.right))
-    if isinstance(e, Mul):
-        return _add(
-            _mul(differentiate(e.left), e.right),
-            _mul(e.left, differentiate(e.right)),
-        )
-    if isinstance(e, Div):
-        num = _sub(
-            _mul(differentiate(e.left), e.right),
-            _mul(e.left, differentiate(e.right)),
-        )
-        return _div(num, _pow(e.right, Fraction(2)))
+    if isinstance(e, BinOp):
+        rule, _ = _row(_OPERATOR_TABLE, "operator", e.op)
+        return rule(e.left, e.right, differentiate(e.left), differentiate(e.right))
     if isinstance(e, Pow):
         if e.exponent == 0:
             return _ZERO
         outer = _mul(Num(e.exponent), _pow(e.base, e.exponent - 1))
         return _mul(outer, differentiate(e.base))
     if isinstance(e, Call):
-        _, rule, _ = _function(e.fn)
+        _, rule, _ = _row(_FUNCTION_TABLE, "function", e.fn)
         return rule(e.arg, differentiate(e.arg))
     raise TypeError(f"not an Expr: {e!r}")
 
@@ -367,11 +350,12 @@ def compile_exprs(*exprs: Expr):
 
     The kernel does what a recursive walk of the trees in argument order
     would do, step by step, so values are bit-identical and the first error
-    is the same: one assignment per node in visit order (a `Div` evaluates
-    and checks its denominator before its numerator), the `DomainError`
-    checks of `/`, `^` and a function's table row at the node they guard,
-    `float(t)` for `t`, `** int(q)` for integer and `** float(q)` for
-    fractional exponents.  Constants are float literals computed here, once.
+    is the same: one assignment per node in visit order (an operator with a
+    check, such as `/`, evaluates and checks its right operand before its
+    left), the `DomainError` checks of `^` and of an operator's or function's
+    table row at the node they guard, `float(t)` for `t`, `** int(q)` for
+    integer and `** float(q)` for fractional exponents.  Constants are float
+    literals computed here, once.
     A subtree that repeats, inside one tree or across trees, is computed at
     its first occurrence only: nodes are numbered by the text of their code
     (plus an `id()` memo for shared node objects), never by the recursive
@@ -419,14 +403,14 @@ def compile_exprs(*exprs: Expr):
             return f"({CONSTANTS[e.name]!r})"
         if isinstance(e, Neg):
             return bind(f"-{visit(e.arg)}")
-        if isinstance(e, (Add, Sub, Mul)):
-            op = "+" if isinstance(e, Add) else "-" if isinstance(e, Sub) else "*"
+        if isinstance(e, BinOp):
+            _, guard = _row(_OPERATOR_TABLE, "operator", e.op)
+            if guard:
+                right = visit(e.right)
+                check(guard[0].format(right), f'"{guard[1]}"')
+                return bind(f"{visit(e.left)} {e.op} {right}")
             left = visit(e.left)
-            return bind(f"{left} {op} {visit(e.right)}")
-        if isinstance(e, Div):
-            denom = visit(e.right)
-            check(f"{denom} == 0", '"division by zero"')
-            return bind(f"{visit(e.left)} / {denom}")
+            return bind(f"{left} {e.op} {visit(e.right)}")
         if isinstance(e, Pow):
             base = visit(e.base)
             q = e.exponent
@@ -437,7 +421,7 @@ def compile_exprs(*exprs: Expr):
             exponent = f"({int(q)})" if q.denominator == 1 else number(q)
             return bind(f"{base} ** {exponent}")
         if isinstance(e, Call):
-            _, _, guard = _function(e.fn)
+            _, _, guard = _row(_FUNCTION_TABLE, "function", e.fn)
             x = visit(e.arg)
             if guard:
                 check(guard[0].format(x), f'f"{guard[1]} {{{x}}}"')
@@ -450,30 +434,30 @@ def compile_exprs(*exprs: Expr):
     return namespace["kernel"]
 
 
+def _read(kernel, t: float) -> tuple:
+    """The kernel's values at t; a DomainError names t, which may be a stencil
+    height, and its term may be a derivative the user never wrote."""
+    try:
+        return kernel(t)
+    except DomainError as err:
+        raise DomainError(f"{err} at t={t!r}") from err
+
+
 @dataclass(frozen=True)
 class ProfileFunctions:
-    """k(t), r(t) with symbolic first and second derivatives."""
+    """k(t) and r(t); the 2-jet kernel differentiates them exactly."""
 
     k: Expr
-    k1: Expr
-    k2: Expr
     r: Expr
-    r1: Expr
-    r2: Expr
-
-    @classmethod
-    def from_exprs(cls, k: Expr, r: Expr) -> "ProfileFunctions":
-        k1 = differentiate(k)
-        r1 = differentiate(r)
-        return cls(k=k, k1=k1, k2=differentiate(k1), r=r, r1=r1, r2=differentiate(r1))
 
     @classmethod
     def from_strings(cls, k_text: str, r_text: str) -> "ProfileFunctions":
-        return cls.from_exprs(parse(k_text), parse(r_text))
+        return cls(parse(k_text), parse(r_text))
 
     @cached_property
     def _jet_kernel(self):
-        return compile_exprs(self.k, self.k1, self.k2, self.r, self.r1, self.r2)
+        k1, r1 = differentiate(self.k), differentiate(self.r)
+        return compile_exprs(self.k, k1, differentiate(k1), self.r, r1, differentiate(r1))
 
     @cached_property
     def _k_kernel(self):
@@ -484,13 +468,10 @@ class ProfileFunctions:
         return compile_exprs(self.r)
 
     def k_value(self, t: float) -> float:
-        return self._k_kernel(t)[0]
+        return _read(self._k_kernel, t)[0]
 
     def r_value(self, t: float) -> float:
-        return self._r_kernel(t)[0]
+        return _read(self._r_kernel, t)[0]
 
     def jet_values(self, t: float) -> tuple[float, float, float, float, float, float]:
-        try:  # name the t: the failing term may be a derivative the user never wrote
-            return self._jet_kernel(t)
-        except DomainError as err:
-            raise DomainError(f"{err} at t={t!r}") from err
+        return _read(self._jet_kernel, t)

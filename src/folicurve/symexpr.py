@@ -448,7 +448,6 @@ def _gen(ind: Indeterminate) -> SymExpr:
     return SymExpr._make({tuple(vec): 1})
 
 
-ZERO = SymExpr._make({})
 ONE = SymExpr._make({_ZERO_EXPS: 1})
 
 X = _gen(Indeterminate.X)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from folicurve import geometry
-from folicurve.exprlang import ProfileFunctions, compile_exprs, differentiate, parse
+from folicurve.exprlang import DomainError, ProfileFunctions, compile_exprs, differentiate, parse
 from folicurve.geometry import (
     DEGENERACY_TOL,
     DegenerateNormal,
@@ -423,6 +423,14 @@ class TestFiniteDifferenceOracle:
         assert str(info.value) == (
             f"float overflow in the stencil at t=0.0, x_n={point.xn}, h=0.001")
         assert str(info.value.__cause__) == "(34, 'Numerical result out of range')"
+
+    def test_domain_error_names_its_height(self):
+        # ln(t) leaves its domain at the stencil height t - h = 0.0, below the leaf at t = h
+        profile = ProfileFunctions.from_strings("12 + ln(t)", "1")
+        point = leaf_points(FoliationJet.from_profile(profile, 1e-4), 3, 8)[0]
+        with pytest.raises(DomainError) as info:
+            mean_curvature_fd(point, profile, 3, RIEMANNIAN, h=1e-4)
+        assert str(info.value) == "ln of nonpositive value 0.0 at t=0.0"
 
     @pytest.mark.parametrize("tol", [None, 1e-3])
     def test_seven_heights_per_divergence(self, tol):

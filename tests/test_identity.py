@@ -240,18 +240,26 @@ class TestExactBoundary:
 
 
 def _unnamed_definitions() -> list[str]:
-    """Functions, classes and methods under src/folicurve that no code in
-    src/folicurve or perfbench names (as a name, an attribute, an imported name
-    or a string such as a `getattr` argument) other than by its own def."""
+    """Functions, classes, methods and module-level assigned names under
+    src/folicurve that no code in src/folicurve or perfbench names (as a name it
+    reads, an attribute, an imported name or a string such as a `getattr`
+    argument) other than by its own def or assignment."""
     perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
     defined, named = [], set()
     for path in sorted(SRC.glob("*.py")) + sorted(perfbench.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body if path.parent == SRC else ():
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [f"{path.name}:{name.id}" for target in targets
+                            for name in ast.walk(target) if isinstance(name, ast.Name)]
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if path.parent == SRC:
                     defined.append(f"{path.name}:{node.name}")
             elif isinstance(node, ast.Name):
-                named.add(node.id)
+                if not isinstance(node.ctx, ast.Store):  # an assignment does not name what it binds
+                    named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.alias):

@@ -21,7 +21,6 @@ from folicurve.symexpr import (
     SIG,
     X,
     ONE,
-    ZERO,
     Indeterminate,
     JetOrderExceeded,
     MissingBinding,
@@ -66,7 +65,7 @@ class TestRingOperations:
 
     def test_add_identity(self):
         p = rational(3) * RHO - X ** 2
-        assert p + ZERO == p
+        assert p + SymExpr() == p
 
     def test_laurent_cancellation(self):
         assert x_pow(-1) * X == ONE
@@ -205,7 +204,7 @@ class TestCoefficients:
     @given(sym_exprs())
     @settings(max_examples=60)
     def test_reassembly(self, a):
-        total = ZERO
+        total = SymExpr()
         for d in {exps[Indeterminate.X] for exps, _ in a.terms()}:
             total = total + a.coeff_of(Indeterminate.X, d) * x_pow(d)
         assert total == a
@@ -506,7 +505,7 @@ class TestCanonicalCoefficients:
         assert all(type(c) is int for _, c in (rational(1, 2) * X ** 2).d_dX().terms())
 
     def test_integer_scalars_coerce_like_polynomials(self):
-        assert ZERO == 0 and X - X == 0
+        assert SymExpr() == 0 and X - X == 0
         assert ONE == 1 == rational(2, 2)
         assert (X + 0) == X and (X * 1) == X and (X * 0).is_zero
         assert rational(3, 6) == Fraction(1, 2)
@@ -518,7 +517,7 @@ class TestCanonicalCoefficients:
     def test_constants_hash_like_their_numbers(self):
         assert len({ONE, 1}) == 1
         assert hash(rational(1, 2)) == hash(Fraction(1, 2))
-        assert hash(ZERO) == hash(0) == hash(X - X)
+        assert hash(SymExpr()) == hash(0) == hash(X - X)
 
     @given(coeffs, sym_exprs())
     def test_hash_agrees_with_equality(self, c, p):
@@ -565,7 +564,7 @@ class TestTextForm:
         assert str(p) == "-3/2*X + RHO - X^-1"
 
     def test_zero(self):
-        assert str(ZERO) == "0"
+        assert str(SymExpr()) == "0"
 
     @given(sym_exprs())
     @settings(max_examples=40)
