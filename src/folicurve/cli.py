@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+import time
 import types
 from typing import Any, Callable
 
@@ -132,21 +133,24 @@ def _print(text: str) -> None:
 
 
 def cmd_verify(args: types.SimpleNamespace) -> int:
-    labels = ["riemannian", "lorentzian"] if args.signature == "both" else [args.signature]
+    sigs = (list(GeometrySignature) if args.signature == "both"
+            else [GeometrySignature.from_label(args.signature)])
     reports = []
     status = EXIT_OK
-    for label in labels:
-        sig = GeometrySignature.from_label(label)
+    for sig in sigs:
         bracket = identity.mutated_bracket(sig, args.mutate) if args.mutate else None
+        start = time.perf_counter()
         try:
-            report = identity.verify_squared_identity(sig, bracket=bracket)
+            sign, residual = identity.verify_squared_identity(sig, bracket=bracket), "0"
         except IdentityViolation as violation:
-            report = violation.report
             status = EXIT_IDENTITY
-            if report is None:
-                print(str(violation), file=sys.stderr)
+            if violation.residual is None:
+                print(violation, file=sys.stderr)
                 continue
-        reports.append(json.loads(report.to_json()))
+            sign, residual = None, violation.residual
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        reports.append({"signature": sig.label, "pass": sign is not None, "sign": sign,
+                        "residual_text": residual, "elapsed_ms": elapsed_ms})
     _print(json.dumps(reports, indent=2))
     return status
 

@@ -22,7 +22,6 @@ from typing import NamedTuple
 
 from .identity import (
     GeometrySignature,
-    InvalidSphere,
     RIEMANNIAN,
     neg_nH_S3,
     s_squared_reduced,
@@ -39,6 +38,15 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class DegenerateNormal(ArithmeticError):
     """S^2 is not positive: the normal direction is degenerate or non-spacelike
     (a null gradient is the Lorentzian case S^2 = 0)."""
+
+
+class InvalidSphere(ValueError):
+    """Sphere data off the open half-space or not finite: a leaf's 2-jet that
+    fails k > r > 0 or has a non-finite entry (FoliationJet.require_valid); a
+    center conversion whose input fails k > r > 0 or K, R > 0, or whose result
+    is not a finite positive float (euclidean_to_hyperbolic,
+    hyperbolic_to_euclidean); a leaf radius r <= 1e-12 in the profile ODE,
+    whose lead term is -r^2 (profiles.cmc_rhs)."""
 
 
 class NotOnLeaf(ValueError):

@@ -10,8 +10,8 @@ from first principles as an exact polynomial, and proves P = s*Q for one global
 sign s = +-1, Q the closed-form cubic bracket c3*X^3 + c2*X^2 + c1*X.  That
 gives the squared identity P^2 = Q^2 that drives the rigidity conclusions: the
 degree-0 coefficient forces  n^2 H^2 (r r' - k k')^6 = 0  and the degree-2
-coefficient forces  k (n-2) (r r' - k k')^2 = 0.  A failing report carries the
-residual P^2 - Q^2.
+coefficient forces  k (n-2) (r r' - k k')^2 = 0.  When neither sign holds, the
+IdentityViolation carries the residual P^2 - Q^2.
 
 It holds every exact lemma, including those of the rotational ODE form, and the
 `verify --mutate` hook; no other module raises IdentityViolation.
@@ -20,8 +20,6 @@ It holds every exact lemma, including those of the rotational ODE form, and the
 from __future__ import annotations
 
 import enum
-import json
-import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -43,15 +41,12 @@ from .symexpr import (
 )
 
 class IdentityViolation(Exception):
-    """The divergence expansion and the transcribed cubic disagree."""
+    """An exact lemma of this module fails.  When P equals neither Q nor -Q,
+    `residual` is the text of P^2 - Q^2; every other lemma leaves it None."""
 
-    def __init__(self, message: str, report: "VerificationReport | None" = None):
+    def __init__(self, message: str, residual: str | None = None):
         super().__init__(message)
-        self.report = report
-
-
-class InvalidSphere(ValueError):
-    """Sphere data violates k > r > 0 (leaf leaves the open half-space)."""
+        self.residual = residual
 
 
 class GeometrySignature(enum.Enum):
@@ -103,26 +98,6 @@ class CubicCoefficients:
 
     def assemble(self) -> SymExpr:
         return self.c3 * X ** 3 + self.c2 * X ** 2 + self.c1 * X
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    signature: str
-    passed: bool
-    sign: int | None
-    residual_text: str
-    elapsed_ms: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "signature": self.signature,
-                "pass": self.passed,
-                "sign": self.sign,
-                "residual_text": self.residual_text,
-                "elapsed_ms": self.elapsed_ms,
-            }
-        )
 
 
 def s_squared_unreduced(sig: GeometrySignature) -> SymExpr:
@@ -200,28 +175,25 @@ def mutated_bracket(sig: GeometrySignature, which: str) -> CubicCoefficients:
 
 def verify_squared_identity(
     sig: GeometrySignature, bracket: CubicCoefficients | None = None
-) -> VerificationReport:
+) -> int:
     """Prove P = s*Q exactly for one global sign s = +-1, P the divergence
     expansion, Q the cubic; this gives P^2 = Q^2.
 
-    The report carries s (orientation N = -grad f/|grad f| only fixes it
-    implicitly).  If neither sign matches, raises IdentityViolation whose
-    report carries the residual P^2 - Q^2, e.g. for a mutated or
-    mistranscribed bracket.
+    Returns s (orientation N = -grad f/|grad f| only fixes it implicitly).  If
+    neither sign matches, e.g. for a mutated or mistranscribed bracket, raises
+    IdentityViolation with the residual P^2 - Q^2.
     """
-    start = time.perf_counter()
     lemma = jet_A().d_dt() + jet_B()
     if not lemma.is_zero:
         raise IdentityViolation(f"d_dt(A) != -B, residual {lemma}")
 
     p = neg_nH_S3(sig)
     q = (bracket or bracket_cubic(sig)).assemble()
-    sign = 1 if p == q else -1 if p == -q else None
-    elapsed = (time.perf_counter() - start) * 1000.0
-    if sign is None:
-        report = VerificationReport(sig.label, False, None, (p * p - q * q).to_text(), elapsed)
-        raise IdentityViolation(f"{sig.label} identity violated", report)
-    return VerificationReport(sig.label, True, sign, "0", elapsed)
+    if p == q:
+        return 1
+    if p == -q:
+        return -1
+    raise IdentityViolation(f"{sig.label} identity violated", (p * p - q * q).to_text())
 
 
 def apply_rotational_constraint(p: SymExpr) -> SymExpr:
@@ -261,6 +233,6 @@ def rotational_ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr, int]:
     factor = rational(sig.epsilon) * RHO ** 2 + KAP1 ** 2
     if apply_rotational_constraint(s_squared_reduced(sig)) != X ** 2 * factor:
         raise IdentityViolation(f"S^2 is not X^2 F under the rotational constraint ({sig.label})")
-    branch = -verify_squared_identity(sig).sign
+    branch = -verify_squared_identity(sig)
     return cubic.c3.coeff_of(Indeterminate.KAP2, 1), cubic.c3.coeff_of(Indeterminate.KAP2, 0), branch
 

@@ -20,8 +20,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .geometry import DegenerateNormal, ScanReport, StepUnstable, constancy_scan
-from .identity import GeometrySignature, InvalidSphere, RIEMANNIAN, rotational_ode_form
+from .geometry import DegenerateNormal, InvalidSphere, ScanReport, StepUnstable, constancy_scan
+from .identity import GeometrySignature, RIEMANNIAN, rotational_ode_form
 
 R_MIN = 1e-6
 STEP_ERROR_LIMIT = 1e-8
@@ -155,6 +155,8 @@ def integrate_profile(
             f"step {step} is below the float resolution of t near {far}: t += step rounds"
             f" by up to {math.ulp(far) / 2}, more than {T_ROUNDING} of the step"
         )
+    if K <= 0:  # cmc_rhs's own check, made before a halt at R_MIN could skip it
+        raise ValueError(f"K must be positive, got {K}")
 
     def rhs(y: tuple[float, float]) -> tuple[float, float]:
         return y[1], cmc_rhs(y[0], y[1], K, H, n, sig)

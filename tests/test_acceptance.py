@@ -45,19 +45,19 @@ def report(num: int, description: str, ok: bool) -> None:
 
 def test_criterion_01_riemannian_identity_exact():
     start = time.perf_counter()
-    result = verify_squared_identity(RIEMANNIAN)
+    sign = verify_squared_identity(RIEMANNIAN)  # raises IdentityViolation unless P = +-Q
     elapsed = time.perf_counter() - start
     report(
         1,
         "Riemannian squared identity holds exactly over Q[nu] "
-        f"(sign {result.sign}, {elapsed * 1e3:.0f} ms)",
-        result.passed and result.residual_text == "0" and elapsed < 10.0,
+        f"(sign {sign}, {elapsed * 1e3:.0f} ms)",
+        sign in (1, -1) and elapsed < 10.0,
     )
 
 
 def test_criterion_02_lorentzian_identity_exact():
     start = time.perf_counter()
-    result = verify_squared_identity(LORENTZIAN)
+    sign = verify_squared_identity(LORENTZIAN)  # raises IdentityViolation unless P = +-Q
     elapsed = time.perf_counter() - start
     # the signature changes the bracket: the radial cubic term flips sign
     riem, lor = bracket_cubic(RIEMANNIAN), bracket_cubic(LORENTZIAN)
@@ -65,9 +65,8 @@ def test_criterion_02_lorentzian_identity_exact():
     report(
         2,
         "Lorentzian squared identity holds exactly, with the signature-dependent "
-        f"bracket sign (sign {result.sign}, {elapsed * 1e3:.0f} ms)",
-        result.passed and result.residual_text == "0"
-        and signature_dependent and elapsed < 10.0,
+        f"bracket sign (sign {sign}, {elapsed * 1e3:.0f} ms)",
+        sign in (1, -1) and signature_dependent and elapsed < 10.0,
     )
 
 

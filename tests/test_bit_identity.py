@@ -15,9 +15,9 @@ from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
 from folicurve import profiles
-from folicurve.geometry import DegenerateNormal
-from folicurve.identity import (LORENTZIAN, RIEMANNIAN, InvalidSphere, neg_nH_S3,
-                                rotational_ode_form, s_squared_reduced)
+from folicurve.geometry import DegenerateNormal, InvalidSphere
+from folicurve.identity import (LORENTZIAN, RIEMANNIAN, neg_nH_S3, rotational_ode_form,
+                                s_squared_reduced)
 from folicurve.symexpr import Indeterminate, SymExpr
 
 

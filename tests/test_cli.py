@@ -62,6 +62,23 @@ class TestVerify:
         assert report["pass"] is False
         assert report["residual_text"] != "0"
 
+    def test_report_json_contract(self, capsys):
+        code, out, _ = run(["verify", "--signature", "riemannian"], capsys)
+        assert code == 0
+        payload = json.loads(out)[0]
+        assert list(payload) == ["signature", "pass", "sign", "residual_text", "elapsed_ms"]
+        assert payload["pass"] is True
+
+    @pytest.mark.parametrize("signature, lines", [("both", 2), ("lorentzian", 1)])
+    def test_failed_lemma_prints_its_line_and_no_report(self, signature, lines, monkeypatch,
+                                                          capsys):
+        jet_B = identity.jet_B
+        monkeypatch.setattr(identity, "jet_B", lambda: jet_B() + KAP)  # now d_dt(A) != -B
+        code, out, err = run(["verify", "--signature", signature], capsys)
+        assert code == 1
+        assert json.loads(out) == []
+        assert err.splitlines() == ["d_dt(A) != -B, residual KAP"] * lines
+
 
 def _perturbed_s_squared(monkeypatch):
     unreduced = identity.s_squared_unreduced
@@ -460,6 +477,15 @@ class TestGenerate:
     def test_negative_center_rejected(self, capsys):
         code, _, err = run(["generate", "--n", "3", "--K", "-1", "--t", "0:0.5"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("K", ["-1", "0"])
+    @pytest.mark.parametrize("r0", [[], ["--r0", "1e-7"]], ids=["r0-default", "r0-below-r-min"])
+    def test_nonpositive_K_rejected_before_the_first_row(self, K, r0, capsys):
+        # a start at R_MIN halts before any step, so cmc_rhs's own check never ran
+        code, out, err = run(["generate", "--n", "3", "--K", K, "--t", "0:0.002"] + r0, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"integration rejected: K must be positive, got {float(K)}\n"
 
     def test_admissibility_halt_exit_three(self, capsys):
         code, out, _ = run(

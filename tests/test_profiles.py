@@ -110,7 +110,7 @@ class TestCmcRhs:
             }
         )
         factor = r * r + k1 * k1 if sig is RIEMANNIAN else k1 * k1 - r * r
-        branch = -verify_squared_identity(sig).sign
+        branch = -verify_squared_identity(sig)
         residual = c3 - branch * n * H * factor * math.sqrt(factor)
         assert abs(residual) <= 1e-12
 
@@ -119,8 +119,7 @@ class TestCmcRhs:
         mirror = cmc_rhs(1.0, 0.2, 1.0, -0.5, 3, RIEMANNIAN)
 
         def flipped(sig):
-            report = verify_squared_identity(sig)
-            return dataclasses.replace(report, sign=-report.sign)
+            return -verify_squared_identity(sig)
 
         monkeypatch.setattr(identity, "verify_squared_identity", flipped)
         rotational_ode_form.cache_clear()
