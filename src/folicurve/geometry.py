@@ -18,6 +18,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 from typing import NamedTuple
 
 from .identity import (
@@ -31,6 +32,7 @@ LEAF_TOL = 1e-9          # membership in the leaf sphere, widened by LEAF_ROUNDI
 LEAF_ROUNDING = 16 * sys.float_info.epsilon  # rounding of a point built on a leaf, per unit k r
 DEGENERACY_TOL = 1e-14   # |S^2| below this is a degenerate normal
 POINTS_PER_LEAF = 8      # sample points per leaf of a scan, unless asked otherwise
+T_ROUNDING = 1e-6        # largest rounding of t +- step, relative to the step, that t may need
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -142,7 +144,7 @@ def _require_on_leaf(p: SurfacePoint, k: float, r: float) -> None:
     """
     res = p.x1 * p.x1 + (p.xn - k) ** 2 - r ** 2
     tol = LEAF_TOL + LEAF_ROUNDING * abs(k * r)
-    if abs(res) > tol:
+    if not abs(res) <= tol:  # a NaN residual fails too
         raise NotOnLeaf(f"leaf equation residual {res} at x_n={p.xn}, t={p.t}")
 
 
@@ -199,10 +201,18 @@ def mean_curvature_fd(
     ((t + s) - s is its own height, not t).  Each height is evaluated once,
     when the stencil first reaches it, and every f value there reuses it:
     7 (k, r) pairs for one divergence, 13 with the Richardson check at h/2,
-    which shares t.  The float operations and their order are those of the
-    stencil that calls f at every neighbour, so the result is the same bits.
+    which shares t.  Each flux takes f's (x_n - k)^2 and r^2 once, and the
+    tangential |(x_1, ..., x_{n-1})|^2 of each neighbour from one list that
+    it shifts in place.  The float operations and their order are those of
+    the stencil that calls f at every neighbour, so the result is the same
+    bits.
+
     The point must lie on the leaf at t (`NotOnLeaf` otherwise); an overflow
-    is re-raised as an OverflowError that names t, x_n and h."""
+    is re-raised as an OverflowError that names t, x_n and h.  A t so large
+    that t +- s rounds by more than T_ROUNDING of the finest step s (h, or
+    h/2 with `tol`) is a ValueError: the divergence would see t differences
+    of the wrong width.  With h = 1e-4 that rejects |t| from about 1e6 up,
+    by design."""
     if not 1e-6 <= h <= 1e-2:
         raise ValueError(f"h must lie in [1e-6, 1e-2], got {h}")
     if tol is not None and not 0 < tol < math.inf:
@@ -211,16 +221,20 @@ def mean_curvature_fd(
         raise ValueError(f"dimension must be at least 2, got {n}")
     if p.xn - h <= 0:
         raise ValueError(f"point too close to the half-space boundary for h={h}")
+    finest = h if tol is None else h / 2
+    rounding = math.ulp(abs(p.t) + 2 * h) / 2
+    if rounding > T_ROUNDING * finest:
+        raise ValueError(
+            f"step {finest} is below the float resolution of t near {p.t}: t +- step rounds"
+            f" by up to {rounding}, more than {T_ROUNDING} of the step"
+        )
 
     eps = sig.epsilon
-
-    def f(tangential: float, xn: float, k: float, r: float) -> float:
-        """f from |(x_1, ..., x_{n-1})|^2, x_n and the leaf's k and r."""
-        return tangential + (xn - k) ** 2 - r * r
 
     def divergence(step: float) -> float:
         # (k, r) by height; a height is keyed by its path of +-step moves from t
         levels = {(): center}
+        width = 2 * step
 
         def level(path: tuple) -> tuple[float, float]:
             if path not in levels:
@@ -236,25 +250,35 @@ def mean_curvature_fd(
             change the tangential part of f; the others reuse y's."""
             k, r = level(path)
             xn = y[n - 1]
+            normal, radius = (xn - k) ** 2, r * r  # f = |tangential|^2 + normal - radius
+            tangential = y[: n - 1]
             grad = []
             for j in range(n - 1):
-                yp = y[: n - 1]; yp[j] += step
-                ym = y[: n - 1]; ym[j] -= step
-                grad.append((f(sum(c * c for c in yp), xn, k, r)
-                             - f(sum(c * c for c in ym), xn, k, r)) / (2 * step))
-            tangential = sum(c * c for c in y[: n - 1])
-            grad.append((f(tangential, xn + step, k, r)
-                         - f(tangential, xn - step, k, r)) / (2 * step))
-            grad.append((f(tangential, xn, *level(path + (1,)))
-                         - f(tangential, xn, *level(path + (-1,)))) / (2 * step))
-            up = [xn * xn * g for g in grad[:n]] + [eps * grad[n]]
-            inner = _sum(g * u for g, u in zip(grad, up))
+                c = tangential[j]
+                tangential[j] = c + step
+                above = sum(map(mul, tangential, tangential)) + normal - radius
+                tangential[j] = c - step
+                below = sum(map(mul, tangential, tangential)) + normal - radius
+                tangential[j] = c
+                grad.append((above - below) / width)
+            squares = sum(map(mul, tangential, tangential))
+            grad.append((squares + (xn + step - k) ** 2 - radius
+                         - (squares + (xn - step - k) ** 2 - radius)) / width)
+            k_up, r_up = level(path + (1,))
+            above = squares + (xn - k_up) ** 2 - r_up * r_up
+            k_down, r_down = level(path + (-1,))
+            grad.append((above - (squares + (xn - k_down) ** 2 - r_down * r_down)) / width)
+            xx = xn * xn
+            inner = 0.0
+            for g in grad[:n]:
+                inner += g * (xx * g)
+            g = grad[n]
+            inner += g * (eps * g)
             squared = inner if eps > 0 else -inner
             if squared <= 0:
                 raise DegenerateNormal(f"gradient not admissible at t={y[n]} ({sig.label})")
-            norm = math.sqrt(squared)
-            weight = xn ** (-n)
-            return weight * up[m] / norm
+            up = xx * grad[m] if m < n else eps * g
+            return xn ** (-n) * up / math.sqrt(squared)
 
         base = [p.x1] + [0.0] * (n - 2) + [p.xn, p.t]
         total = 0.0
@@ -262,7 +286,7 @@ def mean_curvature_fd(
             yp = list(base); yp[m] += step
             ym = list(base); ym[m] -= step
             above, below = ((1,), (-1,)) if m == n else ((), ())
-            total += (flux(yp, m, above) - flux(ym, m, below)) / (2 * step)
+            total += (flux(yp, m, above) - flux(ym, m, below)) / width
         return p.xn ** n * total
 
     try:

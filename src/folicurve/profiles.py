@@ -20,14 +20,20 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .geometry import DegenerateNormal, InvalidSphere, ScanReport, StepUnstable, constancy_scan
+from .geometry import (
+    T_ROUNDING,
+    DegenerateNormal,
+    InvalidSphere,
+    ScanReport,
+    StepUnstable,
+    constancy_scan,
+)
 from .identity import GeometrySignature, RIEMANNIAN, rotational_ode_form
 
 R_MIN = 1e-6
 STEP_ERROR_LIMIT = 1e-8
 DKDT_LIMIT = 1e-8
 H_TOL = 1e-5  # largest |H - H_target| the closed loop accepts
-T_ROUNDING = 1e-6  # largest rounding of t += step, relative to the step, that a range may need
 
 
 class ValidationFailed(ValueError):

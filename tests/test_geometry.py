@@ -403,6 +403,12 @@ class TestFiniteDifferenceOracle:
     @example(case=FD_PROFILES[2], where=0.145 / 0.3, n=3, sig=LORENTZIAN, index=7, h=1e-4,
              tol=None)
     @example(case=FD_PROFILES[6], where=0.0, n=3, sig=RIEMANNIAN, index=0, h=1e-3, tol=None)
+    # the bounds of the flux loops, n = 2 (one tangential neighbour) and n = 6,
+    # each a finite H with the Richardson check
+    @example(case=FD_PROFILES[0], where=0.5, n=2, sig=RIEMANNIAN, index=3, h=1e-3, tol=1e-4)
+    @example(case=FD_PROFILES[0], where=0.5, n=6, sig=RIEMANNIAN, index=3, h=1e-3, tol=1e-4)
+    @example(case=FD_PROFILES[1], where=0.5, n=2, sig=LORENTZIAN, index=7, h=1e-3, tol=1e-4)
+    @example(case=FD_PROFILES[1], where=0.5, n=6, sig=LORENTZIAN, index=7, h=1e-3, tol=1e-4)
     def test_bits_match_reference(self, case, where, n, sig, index, h, tol):
         k_text, r_text, t_lo, t_hi = case
         profile = ProfileFunctions.from_strings(k_text, r_text)
@@ -461,6 +467,33 @@ class TestFiniteDifferenceOracle:
                     assert len(set(profile.k_heights[:7])) == 7
         assert counted > 3 * 8
 
+    @pytest.mark.parametrize("t", [1e10, 1e13])
+    @pytest.mark.parametrize("tol", [None, 1e-5])
+    def test_rejects_t_that_cannot_resolve_its_step(self, t, tol):
+        # t +- h rounds to a t difference of the wrong width: unchecked, the
+        # oracle misses the exact H by 6.2e-4 at t = 1e10 and by 0.040 at
+        # t = 1e13, where tol=1e-5 still passes, since both divergences see
+        # the same zero widths
+        profile = ProfileFunctions.from_strings("3 + 0.4*sin(t)", "1 + 0.2*cos(t)")
+        point = leaf_points(FoliationJet.from_profile(profile, t), 3, 8)[2]
+        with pytest.raises(ValueError, match="below the float resolution of t"):
+            mean_curvature_fd(point, profile, 3, RIEMANNIAN, h=1e-4, tol=tol)
+
+    def test_t_resolution_bound(self):
+        # with h = 1e-4 the rule rejects t from 2^20 (about 1e6) up, and from
+        # 2^19 up with tol, whose finest step is h/2
+        profile = ProfileFunctions.from_strings("3 + 0.4*sin(t)", "1 + 0.2*cos(t)")
+        for t, tol, accepted in [(2.0 ** 20 - 1, None, True), (2.0 ** 20, None, False),
+                                 (2.0 ** 19 - 1, 1e-5, True), (2.0 ** 19, 1e-5, False)]:
+            jet = FoliationJet.from_profile(profile, t)
+            point = leaf_points(jet, 3, 8)[2]
+            if accepted:
+                fd = mean_curvature_fd(point, profile, 3, RIEMANNIAN, h=1e-4, tol=tol)
+                assert abs(fd - mean_curvature_at(point, jet, 3, RIEMANNIAN)) <= 1e-6
+            else:
+                with pytest.raises(ValueError, match="below the float resolution of t"):
+                    mean_curvature_fd(point, profile, 3, RIEMANNIAN, h=1e-4, tol=tol)
+
     @pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-6, math.inf])
     def test_rejects_bad_tol(self, tol):
         # every comparison with NaN is false, so a NaN tol would pass any estimate
@@ -497,6 +530,26 @@ class TestFiniteDifferenceOracle:
         off = SurfacePoint(x1=points[0].x1 + 1e-3, xn=points[0].xn, t=0.0)
         with pytest.raises(NotOnLeaf):
             mean_curvature_fd(off, profile, 3, RIEMANNIAN, h=1e-3)
+
+
+# k = 2, r = 1, t = 0: a NaN in x1 or x_n makes the leaf residual NaN, which
+# fails every comparison; the three leaf checks must reject it
+FLAT_JET = FoliationJet(t=0.0, k=2.0, k1=0.0, k2=0.0, r=1.0, r1=0.0, r2=0.0)
+NAN_POINTS = {"x1": SurfacePoint(math.nan, 2.5, 0.0), "xn": SurfacePoint(0.5, math.nan, 0.0)}
+NAN_CALLS = {
+    "mean_curvature_at": lambda p: mean_curvature_at(p, FLAT_JET, 3, RIEMANNIAN),
+    "is_spacelike": lambda p: is_spacelike(p, FLAT_JET),
+    "mean_curvature_fd": lambda p: mean_curvature_fd(
+        p, ProfileFunctions.from_strings("2", "1"), 3, RIEMANNIAN),
+}
+
+
+class TestNanPointOffLeaf:
+    @pytest.mark.parametrize("coordinate", sorted(NAN_POINTS))
+    @pytest.mark.parametrize("function", sorted(NAN_CALLS))
+    def test_nan_coordinate_is_off_leaf(self, function, coordinate):
+        with pytest.raises(NotOnLeaf, match="leaf equation residual nan"):
+            NAN_CALLS[function](NAN_POINTS[coordinate])
 
 
 class TestSpacelike:
