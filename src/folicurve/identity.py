@@ -36,7 +36,6 @@ from .symexpr import (
     X,
     Indeterminate,
     SymExpr,
-    rational,
     x_pow,
 )
 
@@ -111,7 +110,7 @@ def s_squared_reduced(sig: GeometrySignature) -> SymExpr:
     """S^2 on the leaf, proved once equal to A^2 + eps * X^2 r^2: the factored
     form that `geometry.is_spacelike` evaluates."""
     s2 = s_squared_unreduced(sig).reduce_level_set()
-    if s2 != jet_A() ** 2 + rational(sig.epsilon) * X ** 2 * RHO ** 2:
+    if s2 != jet_A() ** 2 + sig.epsilon * X ** 2 * RHO ** 2:
         raise IdentityViolation(f"S^2 on the leaf is not A^2 + eps x_n^2 r^2 ({sig.label})")
     return s2
 
@@ -124,18 +123,22 @@ def neg_nH_S3(sig: GeometrySignature) -> SymExpr:
     with w = (grad f)/2.  The tangential sum collapses through SIG with
     multiplicity nu-1; the volume-density term det(g) = x_n^{-2n} contributes
     -nu * X^{-1} * w_n * S^2; the result reduces modulo the level set.  Every
-    coefficient of d_j(S^2) is even, so its exact half keeps integer
-    coefficients.
+    coefficient of d_j(S^2) must be even, so that its half stays in the integer
+    ring: an odd one is an IdentityViolation.
     """
     eps = sig.epsilon
     s2 = s_squared_unreduced(sig)
     w_normal = X ** 2 * (X - KAP)
-    w_vertical = rational(-eps) * jet_A()
+    w_vertical = -eps * jet_A()
+    try:
+        half_dX, half_dt = s2.d_dX() / 2, s2.d_dt() / 2
+    except ArithmeticError:
+        raise IdentityViolation(f"a derivative of S^2 has an odd coefficient ({sig.label})") from None
 
-    tangential = (NU - 1) * X ** 2 * s2 - rational(eps) * x_pow(4) * SIG
-    normal = w_normal.d_dX() * s2 - w_normal * (s2.d_dX() / 2)
-    vertical = w_vertical.d_dt() * s2 - w_vertical * (s2.d_dt() / 2)
-    density = rational(-1) * NU * x_pow(-1) * w_normal * s2
+    tangential = (NU - 1) * X ** 2 * s2 - eps * x_pow(4) * SIG
+    normal = w_normal.d_dX() * s2 - w_normal * half_dX
+    vertical = w_vertical.d_dt() * s2 - w_vertical * half_dt
+    density = -NU * x_pow(-1) * w_normal * s2
 
     total = (tangential + normal + vertical + density).reduce_level_set()
     if Indeterminate.SIG in total.indeterminates():
@@ -151,17 +154,17 @@ def bracket_cubic(sig: GeometrySignature) -> CubicCoefficients:
     The signature enters only through the sign of the (nu-1) k r^2 term: the
     quadratic and linear coefficients coincide in both metrics.
     """
-    eps = rational(sig.epsilon)
+    eps = sig.epsilon
     c3 = (
-        rational(2) * RHO * RHO1 * KAP1
+        2 * RHO * RHO1 * KAP1
         + (NU - 2) * KAP * KAP1 ** 2
         + eps * (NU - 1) * KAP * RHO ** 2
         - RHO ** 2 * KAP2
     )
     c2 = (
         (KAP1 ** 2 + RHO1 ** 2 - RHO * RHO2 + KAP * KAP2) * RHO ** 2
-        + rational(2) * (NU - 3) * KAP * KAP1 * RHO * RHO1
-        - rational(2) * (NU - 2) * KAP1 ** 2 * KAP ** 2
+        + 2 * (NU - 3) * KAP * KAP1 * RHO * RHO1
+        - 2 * (NU - 2) * KAP1 ** 2 * KAP ** 2
     )
     c1 = KAP * (NU - 2) * (RHO * RHO1 - KAP * KAP1) ** 2
     return CubicCoefficients(c3=c3, c2=c2, c1=c1)
@@ -230,7 +233,7 @@ def rotational_ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr, int]:
     cubic = bracket_cubic(sig)
     if not apply_rotational_constraint(cubic.c2).is_zero:
         raise IdentityViolation(f"c2 does not vanish under the rotational constraint ({sig.label})")
-    factor = rational(sig.epsilon) * RHO ** 2 + KAP1 ** 2
+    factor = sig.epsilon * RHO ** 2 + KAP1 ** 2
     if apply_rotational_constraint(s_squared_reduced(sig)) != X ** 2 * factor:
         raise IdentityViolation(f"S^2 is not X^2 F under the rotational constraint ({sig.label})")
     branch = -verify_squared_identity(sig)

@@ -141,12 +141,13 @@ def integrate_profile(
 ) -> RotationalProfile:
     """Classical fixed-step RK4 on (r, r') with a step-doubling error monitor.
 
-    Halts early (partial table, `halted` set) when r reaches R_MIN or the
-    admissibility factor fails; raises StepUnstable if the local error
-    estimate exceeds STEP_ERROR_LIMIT.  A row's t is the running sum t += h,
-    so a range whose t the step cannot advance to within T_ROUNDING of the
-    step (a step near the float spacing of t) is rejected with a ValueError,
-    and a last remainder step that t cannot take by the same rule is dropped.
+    Halts early (partial table, `halted` set) when r reaches R_MIN, at a row
+    or at a stage inside a step, or when the admissibility factor fails; raises
+    StepUnstable if the local error estimate exceeds STEP_ERROR_LIMIT.  A row's
+    t is the running sum t += h, so a range whose t the step cannot advance to
+    within T_ROUNDING of the step (a step near the float spacing of t) is
+    rejected with a ValueError, and a last remainder step that t cannot take by
+    the same rule is dropped.
     """
     if r0 <= 0:
         raise ValueError(f"r0 must be positive, got {r0}")
@@ -201,7 +202,10 @@ def integrate_profile(
             full = rk4(y, h, k1)
             mid = rk4(y, h / 2, k1)
             half = rk4(mid, h / 2, rhs(mid))
-        except (DegenerateNormal, InvalidSphere) as stop:
+        except InvalidSphere:  # a stage's radius fell to the axis, below R_MIN
+            halted = "r_min"
+            break
+        except DegenerateNormal as stop:
             halted = f"admissibility: {stop}"
             break
         except OverflowError as err:

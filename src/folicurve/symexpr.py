@@ -1,17 +1,15 @@
-"""Exact multivariate Laurent-polynomial arithmetic over arbitrary-precision rationals.
+"""Exact multivariate Laurent-polynomial arithmetic over arbitrary-precision integers.
 
-Polynomials live in Q[nu][X^{-1}, X, KAP, KAP1, KAP2, RHO, RHO1, RHO2, SIG]:
+Polynomials live in Z[nu][X^{-1}, X, KAP, KAP1, KAP2, RHO, RHO1, RHO2, SIG]:
 the vertical coordinate X may carry negative exponents, every other
 indeterminate is an ordinary polynomial variable.  KAP/RHO and their primed
 companions model the 2-jet of a center/radius profile, SIG is the tangential
 radius-squared, NU the (symbolic) ambient dimension.  Identities verified over
 this ring hold for every integer dimension at once.
 
-Each coefficient is stored in canonical form: a Python `int` when it is
-integral, a `fractions.Fraction` only when its denominator exceeds 1.  The
-verified polynomials have integer coefficients, so their arithmetic runs on
-plain ints while staying exact; `hash(3) == hash(Fraction(3))` keeps equality
-and hashing independent of the storage type.
+Every coefficient is a nonzero Python `int`; a float or a `Fraction` is a
+TypeError, so the ring never rounds.  Division by an integer is exact or raises
+ArithmeticError.
 
 All values are immutable; operations are pure and safe to share.
 """
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from fractions import Fraction
 from typing import Iterator, Mapping, Sequence
 
 
@@ -57,30 +54,21 @@ _T_CHAIN = {
 _T_BLOCKED = (Indeterminate.KAP2, Indeterminate.RHO2)
 
 
-def _exact(value) -> int | Fraction:
-    """The canonical coefficient: an int if `value` is integral, else a Fraction."""
-    if type(value) is int:
-        return value
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    return value.numerator if value.denominator == 1 else value
-
-
 def _coerce(value) -> "SymExpr":
     if isinstance(value, SymExpr):
         return value
-    if isinstance(value, (int, Fraction)):
-        return SymExpr._make({_ZERO_EXPS: _exact(value)} if value else {})
+    if isinstance(value, int):
+        return SymExpr({_ZERO_EXPS: value})
     return NotImplemented
 
 
 def _canonical(raw: dict) -> dict:
-    """Drop the zero coefficients of an accumulated term map and canonicalise the rest."""
-    return {exps: c if type(c) is int else _exact(c) for exps, c in raw.items() if c}
+    """Drop the zero coefficients of an accumulated term map."""
+    return {exps: c for exps, c in raw.items() if c}
 
 
 class SymExpr:
-    """A finite map from exponent vectors to nonzero rational coefficients.
+    """A finite map from exponent vectors to nonzero integer coefficients.
 
     Structural equality of the canonical term map is mathematical equality;
     zero is the empty map.
@@ -89,11 +77,11 @@ class SymExpr:
     # _kernel: the compiled float evaluator, filled by the first eval_numeric.
     __slots__ = ("_terms", "_kernel")
 
-    def __init__(self, terms: Mapping[tuple, int | Fraction] | None = None):
+    def __init__(self, terms: Mapping[tuple, int] | None = None):
         pruned = {}
         if terms:
             for exps, coeff in terms.items():
-                coeff = _exact(coeff)
+                coeff = operator.index(coeff)  # a float or a Fraction is a TypeError
                 if coeff:
                     pruned[tuple(exps)] = coeff
         self._terms = pruned
@@ -134,7 +122,7 @@ class SymExpr:
         for exps, coeff in other._terms.items():
             acc = out.get(exps, 0) + coeff
             if acc:
-                out[exps] = _exact(acc)
+                out[exps] = acc
             else:
                 out.pop(exps, None)
         return SymExpr._make(out)
@@ -169,16 +157,15 @@ class SymExpr:
     __rmul__ = __mul__
 
     def __truediv__(self, divisor: int) -> "SymExpr":
-        """Exact division by a nonzero integer.  A coefficient that the divisor
-        divides stays an int (`c // divisor`); any other becomes a Fraction."""
+        """Exact division by a nonzero integer; ArithmeticError unless the
+        divisor divides every coefficient."""
         if not isinstance(divisor, int):
             return NotImplemented
         if not divisor:
             raise ZeroDivisionError("SymExpr division by zero")
-        return SymExpr._make({
-            exps: c // divisor if type(c) is int and not c % divisor else Fraction(c, divisor)
-            for exps, c in self._terms.items()
-        })
+        if any(c % divisor for c in self._terms.values()):
+            raise ArithmeticError(f"{divisor} does not divide every coefficient")
+        return SymExpr._make({exps: c // divisor for exps, c in self._terms.items()})
 
     def __pow__(self, power: int) -> "SymExpr":
         if not isinstance(power, int) or power < 0:
@@ -272,8 +259,8 @@ class SymExpr:
         # one exponent column per indeterminate, in index order
         return {ind for ind, column in zip(Indeterminate, zip(*self._terms)) if any(column)}
 
-    def terms(self) -> Iterator[tuple[tuple, int | Fraction]]:
-        """(exponent vector, coefficient) pairs; coefficients in canonical form."""
+    def terms(self) -> Iterator[tuple[tuple, int]]:
+        """(exponent vector, coefficient) pairs, in insertion order."""
         return iter(self._terms.items())
 
 
@@ -282,7 +269,7 @@ class SymExpr:
     def eval_numeric(
         self, bindings: Mapping[Indeterminate, float] | Sequence[float | None]
     ) -> float:
-        """IEEE-double evaluation; rational coefficients convert at the last step.
+        """IEEE-double evaluation; each coefficient enters as float(coeff).
 
         `bindings` is either a mapping keyed by `Indeterminate` or a dense
         sequence of `len(Indeterminate)` values indexed by it, with None in
@@ -428,11 +415,6 @@ class SymExpr:
 
     def __repr__(self) -> str:
         return f"SymExpr({self.to_text()})"
-
-
-def rational(numerator: int, denominator: int = 1) -> SymExpr:
-    """The constant numerator/denominator; a whole number is stored as an int."""
-    return SymExpr({_ZERO_EXPS: numerator if denominator == 1 else Fraction(numerator, denominator)})
 
 
 def x_pow(exponent: int) -> SymExpr:

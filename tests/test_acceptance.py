@@ -33,7 +33,7 @@ from folicurve.identity import (
     verify_squared_identity,
 )
 from folicurve.profiles import integrate_profile, validate_profile
-from folicurve.symexpr import KAP, KAP1, NU, RHO, RHO1, X, Indeterminate, rational
+from folicurve.symexpr import KAP, KAP1, NU, RHO, RHO1, X, Indeterminate
 
 SEED = 20260808
 
@@ -61,7 +61,7 @@ def test_criterion_02_lorentzian_identity_exact():
     elapsed = time.perf_counter() - start
     # the signature changes the bracket: the radial cubic term flips sign
     riem, lor = bracket_cubic(RIEMANNIAN), bracket_cubic(LORENTZIAN)
-    signature_dependent = riem.c3 - lor.c3 == rational(2) * (NU - 1) * KAP * RHO ** 2
+    signature_dependent = riem.c3 - lor.c3 == 2 * (NU - 1) * KAP * RHO ** 2
     report(
         2,
         "Lorentzian squared identity holds exactly, with the signature-dependent "
@@ -73,12 +73,12 @@ def test_criterion_02_lorentzian_identity_exact():
 def test_criterion_03_divergence_display_term_for_term():
     a, b = jet_A(), jet_B()
     display = (
-        rational(2) * a ** 2 * X ** 2
+        2 * a ** 2 * X ** 2
         + (NU - 1) * KAP * RHO ** 2 * X ** 3
         + (NU - 2) * KAP * X * a ** 2
         + RHO ** 2 * X ** 2 * b
-        - rational(2) * X ** 3 * KAP1 * a
-        + rational(2) * KAP * KAP1 * X ** 2 * a
+        - 2 * X ** 3 * KAP1 * a
+        + 2 * KAP * KAP1 * X ** 2 * a
     )
     report(
         3,

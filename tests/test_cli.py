@@ -41,6 +41,17 @@ def no_run(monkeypatch):
         monkeypatch.setattr(module, name, started)
 
 
+def _perturbed_jet_B(monkeypatch):
+    jet_B = identity.jet_B
+    monkeypatch.setattr(identity, "jet_B", lambda: jet_B() + KAP)  # now d_dt(A) != -B
+
+
+def _perturbed_s_squared(monkeypatch):
+    unreduced = identity.s_squared_unreduced
+    monkeypatch.setattr(identity, "s_squared_unreduced",
+                        lambda sig: unreduced(sig) + KAP * RHO ** 2)
+
+
 class TestVerify:
     def test_both_signatures_pass(self, capsys):
         code, out, _ = run(["verify"], capsys)
@@ -69,21 +80,27 @@ class TestVerify:
         assert list(payload) == ["signature", "pass", "sign", "residual_text", "elapsed_ms"]
         assert payload["pass"] is True
 
-    @pytest.mark.parametrize("signature, lines", [("both", 2), ("lorentzian", 1)])
-    def test_failed_lemma_prints_its_line_and_no_report(self, signature, lines, monkeypatch,
-                                                          capsys):
-        jet_B = identity.jet_B
-        monkeypatch.setattr(identity, "jet_B", lambda: jet_B() + KAP)  # now d_dt(A) != -B
-        code, out, err = run(["verify", "--signature", signature], capsys)
+    @pytest.mark.parametrize("signature, perturb, messages", [
+        pytest.param("both", _perturbed_jet_B, ["d_dt(A) != -B, residual KAP"] * 2, id="both-2"),
+        pytest.param("lorentzian", _perturbed_jet_B, ["d_dt(A) != -B, residual KAP"],
+                     id="lorentzian-1"),
+        # d_dt(KAP * RHO^2) has the odd coefficient 1, so its half leaves the integers
+        pytest.param("both", _perturbed_s_squared,
+                     [f"a derivative of S^2 has an odd coefficient ({label})"
+                      for label in ("riemannian", "lorentzian")], id="odd-half-both"),
+    ])
+    def test_failed_lemma_prints_its_line_and_no_report(self, signature, perturb, messages,
+                                                          monkeypatch, capsys):
+        perturb(monkeypatch)
+        identity.neg_nH_S3.cache_clear()
+        try:
+            code, out, err = run(["verify", "--signature", signature], capsys)
+        finally:
+            monkeypatch.undo()
+            identity.neg_nH_S3.cache_clear()
         assert code == 1
         assert json.loads(out) == []
-        assert err.splitlines() == ["d_dt(A) != -B, residual KAP"] * lines
-
-
-def _perturbed_s_squared(monkeypatch):
-    unreduced = identity.s_squared_unreduced
-    monkeypatch.setattr(identity, "s_squared_unreduced",
-                        lambda sig: unreduced(sig) + KAP * RHO ** 2)
+        assert err.splitlines() == messages
 
 
 def _perturbed_c2(monkeypatch):
@@ -486,6 +503,14 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert err == f"integration rejected: K must be positive, got {float(K)}\n"
+
+    def test_radius_collapse_inside_a_step_halts_at_r_min(self, capsys):
+        code, out, _ = run(["generate", "--n", "3", "--K", "1", "--r0", "1.5e-6", "--r1", "-1",
+                            "--t", "0:0.01"], capsys)
+        assert code == 3
+        summary = json.loads(out)
+        assert summary["halted"] == "r_min"
+        assert summary["rows"] == 1
 
     def test_admissibility_halt_exit_three(self, capsys):
         code, out, _ = run(

@@ -34,6 +34,7 @@ from folicurve.symexpr import (
     KAP1,
     KAP2,
     NU,
+    ONE,
     RHO,
     RHO1,
     RHO2,
@@ -41,7 +42,6 @@ from folicurve.symexpr import (
     X,
     Indeterminate,
     SymExpr,
-    rational,
     x_pow,
 )
 
@@ -57,15 +57,15 @@ def substitute_cylinder(p: SymExpr) -> SymExpr:
 class TestNormSquared:
     def test_riemannian_reduces_to_quarter_norm(self):
         reduced = (4 * s_squared_unreduced(RIEMANNIAN)).reduce_level_set()
-        assert reduced == rational(4) * (X ** 2 * RHO ** 2 + jet_A() ** 2)
+        assert reduced == 4 * (X ** 2 * RHO ** 2 + jet_A() ** 2)
 
     def test_lorentzian_reduces_with_negative_radial_term(self):
         reduced = (4 * s_squared_unreduced(LORENTZIAN)).reduce_level_set()
-        assert reduced == rational(4) * (-(X ** 2) * RHO ** 2 + jet_A() ** 2)
+        assert reduced == 4 * (-(X ** 2) * RHO ** 2 + jet_A() ** 2)
 
     def test_cylinder_jet(self):
         reduced = substitute_cylinder((4 * s_squared_unreduced(RIEMANNIAN)).reduce_level_set())
-        assert reduced == rational(4) * X ** 2 * RHO ** 2
+        assert reduced == 4 * X ** 2 * RHO ** 2
 
     @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
     def test_reduced_s_squared_checks_its_factored_form(self, sig, monkeypatch):
@@ -79,7 +79,7 @@ class TestNormSquared:
         finally:
             monkeypatch.undo()
             s_squared_reduced.cache_clear()
-        assert s_squared_reduced(sig) == jet_A() ** 2 + rational(sig.epsilon) * X ** 2 * RHO ** 2
+        assert s_squared_reduced(sig) == jet_A() ** 2 + sig.epsilon * X ** 2 * RHO ** 2
 
 
 class TestDivergenceExpansion:
@@ -89,18 +89,18 @@ class TestDivergenceExpansion:
     def test_riemannian_matches_closed_form_display(self):
         a, b = jet_A(), jet_B()
         display = (
-            rational(2) * a ** 2 * X ** 2
+            2 * a ** 2 * X ** 2
             + (NU - 1) * KAP * RHO ** 2 * X ** 3
             + (NU - 2) * KAP * X * a ** 2
             + RHO ** 2 * X ** 2 * b
-            - rational(2) * X ** 3 * KAP1 * a
-            + rational(2) * KAP * KAP1 * X ** 2 * a
+            - 2 * X ** 3 * KAP1 * a
+            + 2 * KAP * KAP1 * X ** 2 * a
         )
         assert neg_nH_S3(RIEMANNIAN) == display
 
     def test_lorentzian_differs_only_in_radial_cubic_term(self):
         diff = neg_nH_S3(RIEMANNIAN) - neg_nH_S3(LORENTZIAN)
-        assert diff == rational(2) * (NU - 1) * KAP * RHO ** 2 * X ** 3
+        assert diff == 2 * (NU - 1) * KAP * RHO ** 2 * X ** 3
 
     def test_cylinder_collapse(self):
         collapsed = substitute_cylinder(neg_nH_S3(RIEMANNIAN))
@@ -114,7 +114,7 @@ class TestDivergenceExpansion:
 class TestBracketCubic:
     def test_riemannian_c3(self):
         expected = (
-            rational(2) * RHO * RHO1 * KAP1
+            2 * RHO * RHO1 * KAP1
             + (NU - 2) * KAP * KAP1 ** 2
             + (NU - 1) * KAP * RHO ** 2
             - RHO ** 2 * KAP2
@@ -124,14 +124,14 @@ class TestBracketCubic:
     def test_riemannian_c2(self):
         expected = (
             (KAP1 ** 2 + RHO1 ** 2 - RHO * RHO2 + KAP * KAP2) * RHO ** 2
-            + rational(2) * (NU - 3) * KAP * KAP1 * RHO * RHO1
-            - rational(2) * (NU - 2) * KAP1 ** 2 * KAP ** 2
+            + 2 * (NU - 3) * KAP * KAP1 * RHO * RHO1
+            - 2 * (NU - 2) * KAP1 ** 2 * KAP ** 2
         )
         assert bracket_cubic(RIEMANNIAN).c2 == expected
 
     def test_signature_enters_only_through_radial_term(self):
         riem, lor = bracket_cubic(RIEMANNIAN), bracket_cubic(LORENTZIAN)
-        assert riem.c3 - lor.c3 == rational(2) * (NU - 1) * KAP * RHO ** 2
+        assert riem.c3 - lor.c3 == 2 * (NU - 1) * KAP * RHO ** 2
         assert riem.c2 == lor.c2
         assert riem.c1 == lor.c1
 
@@ -142,7 +142,7 @@ class TestBracketCubic:
 
     def test_c1_vanishes_in_dimension_two(self):
         c1 = bracket_cubic(RIEMANNIAN).c1
-        assert c1.substitute(Indeterminate.NU, rational(2)).is_zero
+        assert c1.substitute(Indeterminate.NU, 2).is_zero
 
 
 def _rotational_reference(p: SymExpr) -> SymExpr:
@@ -184,7 +184,8 @@ rotational_exps = st.tuples(
 )
 rotational_polys = st.dictionaries(
     rotational_exps,
-    st.fractions(min_value=-9, max_value=9, max_denominator=4).filter(bool),
+    (st.integers(min_value=-9, max_value=9) | st.integers(min_value=-2 ** 70, max_value=2 ** 70))
+    .filter(bool),
     max_size=8,
 ).map(SymExpr)
 
@@ -251,6 +252,14 @@ class TestExactBoundary:
                   and value.__module__ == identity.__name__]
         assert errors == [IdentityViolation]
 
+    def test_exact_ring_imports_nothing_from_fractions(self):
+        # every coefficient is an int (identity's imports are pinned above)
+        tree = ast.parse((SRC / "symexpr.py").read_text())
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "fractions" not in imported
+
 
 def _unnamed_definitions() -> list[str]:
     """Functions, classes, methods and module-level assigned names under
@@ -315,15 +324,15 @@ class TestVerification:
         # radial and cross terms) does not square to the divergence expansion
         flipped = CubicCoefficients(
             c3=(
-                rational(2) * RHO * RHO1 * KAP1
+                2 * RHO * RHO1 * KAP1
                 - (NU - 2) * KAP * KAP1 ** 2
                 - (NU - 1) * KAP * RHO ** 2
                 + RHO ** 2 * KAP2
             ),
             c2=(
                 (KAP1 ** 2 + RHO1 ** 2 - RHO * RHO2 + KAP * KAP2) * RHO ** 2
-                - rational(2) * (NU - 1) * KAP * KAP1 * RHO * RHO1
-                + rational(2) * (NU - 2) * KAP1 ** 2 * KAP ** 2
+                - 2 * (NU - 1) * KAP * KAP1 * RHO * RHO1
+                + 2 * (NU - 2) * KAP1 ** 2 * KAP ** 2
             ),
             c1=-(KAP * (NU - 2) * (RHO * RHO1 - KAP * KAP1) ** 2),
         )
@@ -355,7 +364,7 @@ class TestVerification:
 
     @given(
         which=st.sampled_from(["c1", "c2", "c3"]),
-        coeff=st.fractions(min_value=-4, max_value=4, max_denominator=6).filter(bool),
+        coeff=st.integers(min_value=-4, max_value=4).filter(bool),
         exps=st.dictionaries(
             st.sampled_from([KAP, KAP1, KAP2, RHO, RHO1, RHO2, NU]),
             st.integers(min_value=1, max_value=2),
@@ -365,7 +374,7 @@ class TestVerification:
     )
     @settings(max_examples=25, deadline=None)
     def test_failure_report_carries_squared_residual(self, which, coeff, exps, sig):
-        monomial = rational(coeff.numerator, coeff.denominator)
+        monomial = coeff * ONE
         for gen, e in exps.items():
             monomial = monomial * gen ** e
         cubic = bracket_cubic(sig)
@@ -376,70 +385,46 @@ class TestVerification:
         assert info.value.residual == (p * p - q * q).to_text()
 
 
-def fraction_rational(numerator: int, denominator: int = 1) -> SymExpr:
-    """The constant built through a Fraction, as `rational` once built every constant."""
-    return SymExpr({(0,) * len(Indeterminate): Fraction(numerator, denominator)})
-
-
-HALF = fraction_rational(1, 2)
-
-
-def fraction_s_squared_unreduced(sig: GeometrySignature) -> SymExpr:
-    """S^2 by the Fraction route: a quarter of |grad f|^2."""
-    spatial = X ** 2 * SIG + X ** 2 * (X - KAP) ** 2
-    norm_sq = fraction_rational(4) * (fraction_rational(sig.epsilon) * spatial + jet_A() ** 2)
-    return HALF * HALF * norm_sq
-
-
-def fraction_neg_nH_S3(sig: GeometrySignature) -> SymExpr:
-    """-nH*S^3 by the Fraction route: the derivative halves as HALF * w * D."""
-    eps = sig.epsilon
-    s2 = fraction_s_squared_unreduced(sig)
-    w_normal = X ** 2 * (X - KAP)
-    w_vertical = fraction_rational(-eps) * jet_A()
-    tangential = (NU - 1) * X ** 2 * s2 - fraction_rational(eps) * x_pow(4) * SIG
-    normal = w_normal.d_dX() * s2 - HALF * w_normal * s2.d_dX()
-    vertical = w_vertical.d_dt() * s2 - HALF * w_vertical * s2.d_dt()
-    density = fraction_rational(-1) * NU * x_pow(-1) * w_normal * s2
-    return (tangential + normal + vertical + density).reduce_level_set()
-
-
-def fraction_c3(sig: GeometrySignature) -> SymExpr:
-    """The bracket's c3 with every integer constant built through a Fraction."""
-    return (
-        fraction_rational(2) * RHO * RHO1 * KAP1
-        + (NU - 2) * KAP * KAP1 ** 2
-        + fraction_rational(sig.epsilon) * (NU - 1) * KAP * RHO ** 2
-        - RHO ** 2 * KAP2
-    )
-
-
-def typed_terms(p: SymExpr) -> list:
-    return [(exps, coeff, type(coeff)) for exps, coeff in p.terms()]
-
-
 def clear_identity_caches() -> None:
     for cached in (neg_nH_S3, s_squared_reduced, bracket_cubic):
         cached.cache_clear()
 
 
+def terms_digest(p: SymExpr) -> str:
+    return hashlib.sha256(repr(list(p.terms())).encode()).hexdigest()
+
+
+# SHA-256 of repr(list(p.terms())): the keys, their insertion order and the
+# coefficients, which fix the source of every compiled kernel.  Recorded when
+# the ring still had Fraction coefficients, with every constant an int.
+GOLDEN_TERMS = {
+    "s_squared_unreduced-riemannian": "f40f912faafdc24c50a39733fa74f42b38908acee6ef89a0016aa21d1af68910",
+    "s_squared_reduced-riemannian": "450e6dc823d56c6b84d1fa12e8ea353264839667236e913667f4b33a6feae824",
+    "neg_nH_S3-riemannian": "6c6c2bf72710e516faf1fa0d88f29a618d43c79f20742c640a5aeec841e4d415",
+    "ode_lead-riemannian": "6e3146844dc07e41de45b4f937f039f01e3fef7aec25e9e0f100de704b8ff582",
+    "ode_rest-riemannian": "299b5bc4ceb17b453ee56423a474b77761eca4fceada0797157de2c8e402f56e",
+    "s_squared_unreduced-lorentzian": "ccc15dab85a9e4141a5a1d0bf77c62dbc90ea21b9ea7c64df03ea967f9378244",
+    "s_squared_reduced-lorentzian": "83b1594e8e66bedc928c2197a74625f6f5ab408d49b8bb6bf5466c70a5e5d265",
+    "neg_nH_S3-lorentzian": "5a48824c9d41e8580e9374d7bbb2e012d2d1de61529f42d43e4aa797025ce1a4",
+    "ode_lead-lorentzian": "6e3146844dc07e41de45b4f937f039f01e3fef7aec25e9e0f100de704b8ff582",
+    "ode_rest-lorentzian": "efe5c790267bdd12ad93ebd22289b3c61332aafef77c425c64db0b384bfba898",
+}
+
+
 class TestIntegerProofPath:
     @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
-    def test_terms_match_the_fraction_route(self, sig):
-        # same keys, insertion order and coefficient types: every compiled kernel keeps its bits
+    def test_terms_match_the_golden_table(self, sig):
+        # same keys, insertion order and coefficients: every compiled kernel keeps its bits
         lead, rest, _ = rotational_ode_form(sig)
-        c3 = fraction_c3(sig)
-        pairs = {
-            "s_squared_unreduced": (identity.s_squared_unreduced(sig),
-                                    fraction_s_squared_unreduced(sig)),
-            "s_squared_reduced": (s_squared_reduced(sig),
-                                  fraction_s_squared_unreduced(sig).reduce_level_set()),
-            "neg_nH_S3": (neg_nH_S3(sig), fraction_neg_nH_S3(sig)),
-            "ode_lead": (lead, c3.coeff_of(Indeterminate.KAP2, 1)),
-            "ode_rest": (rest, c3.coeff_of(Indeterminate.KAP2, 0)),
+        built = {
+            "s_squared_unreduced": identity.s_squared_unreduced(sig),
+            "s_squared_reduced": s_squared_reduced(sig),
+            "neg_nH_S3": neg_nH_S3(sig),
+            "ode_lead": lead,
+            "ode_rest": rest,
         }
-        for name, (built, reference) in pairs.items():
-            assert typed_terms(built) == typed_terms(reference), name
+        for name, p in built.items():
+            assert terms_digest(p) == GOLDEN_TERMS[f"{name}-{sig.label}"], name
 
     def test_cold_verify_builds_no_fraction(self, monkeypatch):
         built = []
@@ -459,8 +444,9 @@ class TestIntegerProofPath:
                 return coprime(cls, numerator, denominator)
 
             monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
-        fraction_neg_nH_S3(RIEMANNIAN)
-        assert built  # the counter sees the Fraction route
+        built.clear()
+        Fraction(1, 3) + Fraction(1, 6)
+        assert len(built) == 3  # both operands and their sum: it sees arithmetic results too
         built.clear()
         clear_identity_caches()
         try:

@@ -185,6 +185,13 @@ class TestIntegration:
         assert profile.halted == "r_min"
         assert len(profile.rows) == 1
 
+    def test_radius_collapsing_inside_a_step_halts_at_r_min(self):
+        # r starts above R_MIN, but the first step's half-step stage lands below
+        # zero: a Riemannian run has no admissibility factor to blame
+        profile = integrate_profile(1.5e-6, -1.0, (0.0, 0.01), 1e-3, 1.0, 0.0, 3, RIEMANNIAN)
+        assert profile.halted == "r_min"
+        assert len(profile.rows) == 1
+
     def test_admissibility_halt_reports_partial_table(self):
         profile = integrate_profile(1.0, -2.0, (0.0, 2.0), 1e-3, 1.0, 0.0, 3, LORENTZIAN)
         assert profile.halted is not None and "admissibility" in profile.halted

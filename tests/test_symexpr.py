@@ -25,11 +25,11 @@ from folicurve.symexpr import (
     JetOrderExceeded,
     MissingBinding,
     SymExpr,
-    rational,
     x_pow,
 )
 
-coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+# small ones, and ones beyond 2^64 that no machine word holds
+coeffs = st.integers(min_value=-4, max_value=4) | st.integers(min_value=-2 ** 70, max_value=2 ** 70)
 
 
 def exponents(with_second_jets: bool = True) -> st.SearchStrategy:
@@ -47,8 +47,8 @@ def exponents(with_second_jets: bool = True) -> st.SearchStrategy:
     )
 
 
-def sym_exprs(with_second_jets: bool = True) -> st.SearchStrategy:
-    return st.dictionaries(exponents(with_second_jets), coeffs, max_size=4).map(SymExpr)
+def sym_exprs(with_second_jets: bool = True, coefficients=coeffs) -> st.SearchStrategy:
+    return st.dictionaries(exponents(with_second_jets), coefficients, max_size=4).map(SymExpr)
 
 
 bindings_st = st.fixed_dictionaries(
@@ -61,10 +61,10 @@ class TestRingOperations:
         assert (X + (-X)).is_zero
 
     def test_like_term_merge(self):
-        assert rational(2) * KAP * X ** 2 + rational(3) * KAP * X ** 2 == rational(5) * KAP * X ** 2
+        assert 2 * KAP * X ** 2 + 3 * KAP * X ** 2 == 5 * KAP * X ** 2
 
     def test_add_identity(self):
-        p = rational(3) * RHO - X ** 2
+        p = 3 * RHO - X ** 2
         assert p + SymExpr() == p
 
     def test_laurent_cancellation(self):
@@ -72,7 +72,7 @@ class TestRingOperations:
 
     def test_binomial_expansion(self):
         lhs = (RHO * RHO1 - KAP * KAP1) ** 2
-        rhs = RHO ** 2 * RHO1 ** 2 - rational(2) * KAP * KAP1 * RHO * RHO1 + KAP ** 2 * KAP1 ** 2
+        rhs = RHO ** 2 * RHO1 ** 2 - 2 * KAP * KAP1 * RHO * RHO1 + KAP ** 2 * KAP1 ** 2
         assert lhs == rhs
 
     def test_sixth_power_constant_term(self):
@@ -132,13 +132,13 @@ class TestRingOperations:
 
 class TestDerivatives:
     def test_d_dX_power(self):
-        assert (X ** 3).d_dX() == rational(3) * X ** 2
+        assert (X ** 3).d_dX() == 3 * X ** 2
 
     def test_d_dX_sigma_constant(self):
         assert SIG.d_dX().is_zero
 
     def test_d_dX_shifted_square(self):
-        assert ((X - KAP) ** 2).d_dX() == rational(2) * (X - KAP)
+        assert ((X - KAP) ** 2).d_dX() == 2 * (X - KAP)
 
     def test_d_dt_chain(self):
         assert KAP.d_dt() == KAP1
@@ -191,9 +191,9 @@ class TestLevelSetReduction:
 
 class TestCoefficients:
     def test_simple_extraction(self):
-        p = rational(3) * X ** 2 + KAP * X
+        p = 3 * X ** 2 + KAP * X
         assert p.coeff_of(Indeterminate.X, 1) == KAP
-        assert p.coeff_of(Indeterminate.X, 2) == rational(3)
+        assert p.coeff_of(Indeterminate.X, 2) == 3
         assert p.coeff_of(Indeterminate.X, 5).is_zero
 
     def test_square_of_pure_cubic_has_no_constant(self):
@@ -251,7 +251,10 @@ class TestNumericEvaluation:
         with pytest.raises(ValueError):
             x_pow(-2).eval_numeric({Indeterminate.X: 0.0})
 
-    @given(sym_exprs(), sym_exprs(), bindings_st)
+    # coefficients in [-4, 4]: beyond 2^53, float(c) rounds, and a sum that
+    # cancels would compare its rounding errors, not the additivity
+    @given(sym_exprs(coefficients=st.integers(-4, 4)), sym_exprs(coefficients=st.integers(-4, 4)),
+           bindings_st)
     @settings(max_examples=60)
     def test_additivity(self, a, b, bindings):
         lhs = (a + b).eval_numeric(bindings)
@@ -346,7 +349,7 @@ class TestCompiledKernel:
             return original(self)
 
         monkeypatch.setattr(SymExpr, "_compile_kernel", counting)
-        p = rational(3) * X * KAP - RHO ** 2
+        p = 3 * X * KAP - RHO ** 2
         bindings = {Indeterminate.X: 1.5, Indeterminate.KAP: 2.0, Indeterminate.RHO: 0.5}
         assert p.eval_numeric(bindings) == p.eval_numeric(bindings) == 8.75
         assert compiled == [p]
@@ -407,11 +410,11 @@ class TestDenseBindings:
             (X * KAP).eval_numeric(["1.0", 2.0])
 
 
-def fraction_add(a: SymExpr, b: SymExpr) -> dict:
-    """The Fraction-only term loop of addition; the reference for the coefficient storage."""
-    out = {exps: Fraction(c) for exps, c in a.terms()}
+def term_loop_add(a: SymExpr, b: SymExpr) -> dict:
+    """The plain term loop of addition: a sum that cancels drops its term."""
+    out = dict(a.terms())
     for exps, coeff in b.terms():
-        acc = out.get(exps, 0) + Fraction(coeff)
+        acc = out.get(exps, 0) + coeff
         if acc:
             out[exps] = acc
         else:
@@ -419,13 +422,13 @@ def fraction_add(a: SymExpr, b: SymExpr) -> dict:
     return out
 
 
-def fraction_mul(a: SymExpr, b: SymExpr) -> dict:
-    """The Fraction-only term loop of multiplication."""
+def term_loop_mul(a: SymExpr, b: SymExpr) -> dict:
+    """The plain term loop of multiplication."""
     out: dict = {}
     for ea, ca in a.terms():
         for eb, cb in b.terms():
             exps = tuple(x + y for x, y in zip(ea, eb))
-            acc = out.get(exps, 0) + Fraction(ca) * Fraction(cb)
+            acc = out.get(exps, 0) + ca * cb
             if acc:
                 out[exps] = acc
             else:
@@ -433,45 +436,30 @@ def fraction_mul(a: SymExpr, b: SymExpr) -> dict:
     return out
 
 
-def fraction_stored(terms: dict) -> SymExpr:
-    """A SymExpr that stores every coefficient, integral ones included, as a Fraction."""
-    return SymExpr._make(terms)
-
-
 def assert_canonical(p: SymExpr) -> None:
+    """Every coefficient is a nonzero int."""
     for _, coeff in p.terms():
-        assert coeff
-        assert type(coeff) in (int, Fraction)
-        assert (type(coeff) is int) == (Fraction(coeff).denominator == 1)
+        assert type(coeff) is int and coeff
 
 
-integer_coeffs = st.integers(min_value=-4, max_value=4)
-proper_fractions = coeffs.filter(lambda q: q.denominator > 1)
-coefficient_kinds = [coeffs, integer_coeffs, proper_fractions]
-
-
-def typed_exprs(kind) -> st.SearchStrategy:
-    return st.dictionaries(exponents(), kind, max_size=4).map(SymExpr)
-
-
-any_exprs = st.one_of(*(typed_exprs(kind) for kind in coefficient_kinds))
+CONSTANT = (0,) * len(Indeterminate)
 
 
 class TestCanonicalCoefficients:
     @pytest.mark.parametrize("op, reference", [
-        (lambda a, b: a + b, fraction_add),
-        (lambda a, b: a * b, fraction_mul),
+        (lambda a, b: a + b, term_loop_add),
+        (lambda a, b: a * b, term_loop_mul),
     ], ids=["add", "mul"])
-    @given(a=any_exprs, b=any_exprs)
+    @given(a=sym_exprs(), b=sym_exprs())
     @settings(max_examples=150)
-    def test_matches_fraction_term_loop(self, op, reference, a, b):
+    def test_matches_the_term_loop(self, op, reference, a, b):
         result = op(a, b)
-        expected = fraction_stored(reference(a, b))
+        expected = SymExpr(reference(a, b))
         assert result == expected and hash(result) == hash(expected)
         assert result.to_text() == expected.to_text()
         assert_canonical(result)
 
-    @given(any_exprs)
+    @given(sym_exprs())
     @settings(max_examples=100)
     def test_constructors_and_calculus_are_canonical(self, a):
         assert_canonical(a)
@@ -482,33 +470,20 @@ class TestCanonicalCoefficients:
         if not ({Indeterminate.KAP2, Indeterminate.RHO2} & a.indeterminates()):
             assert_canonical(a.d_dt())
 
-    @given(any_exprs)
-    @settings(max_examples=100)
-    def test_text_matches_fraction_storage(self, a):
-        stored = fraction_stored({exps: Fraction(c) for exps, c in a.terms()})
-        assert a == stored and hash(a) == hash(stored)
-        assert a.to_text() == stored.to_text()
-
     @given(coeffs, coeffs)
     def test_constant_equals_its_number(self, p, q):
-        constant = SymExpr({(0,) * len(Indeterminate): p})
-        cases = [(rational(p.numerator, p.denominator), p), (constant * q, p * q),
+        constant = SymExpr({CONSTANT: p})
+        cases = [(constant, p), (p * ONE, p), (constant * q, p * q),
                  (constant + q, p + q), (constant - p, 0)]
         for const, expected in cases:
             assert const == expected
             assert_canonical(const)
 
-    def test_integral_products_of_fractions_become_ints(self):
-        p = rational(1, 2) * X * rational(2) * KAP + rational(3, 4) * (rational(4, 3) * RHO)
-        assert dict(p.terms()) == {((1, 1) + (0,) * 7): 1, ((0,) * 4 + (1,) + (0,) * 4): 1}
-        assert all(type(c) is int for _, c in p.terms())
-        assert all(type(c) is int for _, c in (rational(1, 2) * X ** 2).d_dX().terms())
-
     def test_integer_scalars_coerce_like_polynomials(self):
         assert SymExpr() == 0 and X - X == 0
-        assert ONE == 1 == rational(2, 2)
+        assert ONE == 1 == SymExpr({CONSTANT: 1})
         assert (X + 0) == X and (X * 1) == X and (X * 0).is_zero
-        assert rational(3, 6) == Fraction(1, 2)
+        assert 2 * X - X == X and 3 - X == -(X - 3)
 
     @pytest.mark.parametrize("name", sorted(VERIFIED))
     def test_verified_polynomials_have_int_coefficients(self, name):
@@ -516,39 +491,66 @@ class TestCanonicalCoefficients:
 
     def test_constants_hash_like_their_numbers(self):
         assert len({ONE, 1}) == 1
-        assert hash(rational(1, 2)) == hash(Fraction(1, 2))
+        assert hash(-3 * ONE) == hash(-3) and hash(2 ** 70 * ONE) == hash(2 ** 70)
         assert hash(SymExpr()) == hash(0) == hash(X - X)
 
     @given(coeffs, sym_exprs())
     def test_hash_agrees_with_equality(self, c, p):
-        constant = SymExpr({(0,) * len(Indeterminate): c})
+        constant = SymExpr({CONSTANT: c})
         assert constant == c and hash(constant) == hash(c)
-        if set(dict(p.terms())) - {(0,) * len(Indeterminate)}:
+        if set(dict(p.terms())) - {CONSTANT}:
             assert hash(p) == hash(frozenset(p.terms()))
 
 
-def assert_same_terms(a: SymExpr, b: SymExpr) -> None:
-    """Same keys in the same insertion order, with equal coefficients of the same type."""
-    assert [(e, c, type(c)) for e, c in a.terms()] == [(e, c, type(c)) for e, c in b.terms()]
+class TestIntegerRing:
+    @pytest.mark.parametrize("coeff", [0.1, 2.0, Fraction(1, 2), Fraction(4, 2)],
+                             ids=["float", "integral-float", "fraction", "integral-fraction"])
+    def test_a_non_int_coefficient_is_a_type_error(self, coeff):
+        with pytest.raises(TypeError):
+            SymExpr({CONSTANT: coeff})
+        with pytest.raises(TypeError):
+            SymExpr({(1,) + CONSTANT[1:]: coeff})
+
+    def test_non_int_scalars_are_type_errors(self):
+        for scalar in (0.5, Fraction(1, 2)):
+            for op in (lambda: X * scalar, lambda: scalar * X, lambda: X + scalar,
+                       lambda: scalar + X, lambda: X - scalar):
+                with pytest.raises(TypeError):
+                    op()
 
 
 class TestExactHalving:
-    @given(any_exprs)
+    @given(sym_exprs())
     @settings(max_examples=150)
     def test_halving_is_exact_and_canonical(self, p):
-        half = p / 2
-        assert half * 2 == p
-        assert_same_terms(half, rational(1, 2) * p)
-        assert_canonical(half)
-        for (_, c), (_, h) in zip(p.terms(), half.terms()):
-            if type(c) is int and c % 2 == 0:
-                assert type(h) is int and h == c // 2
-            else:
-                assert type(h) is Fraction and h == Fraction(c) / 2
+        # exact, or it raises
+        if all(c % 2 == 0 for _, c in p.terms()):
+            half = p / 2
+            assert [(exps, 2 * c) for exps, c in half.terms()] == list(p.terms())
+            assert_canonical(half)
+        else:
+            with pytest.raises(ArithmeticError, match=r"^2 does not divide every coefficient$"):
+                p / 2
+        assert list((2 * p / 2).terms()) == list(p.terms())
+
+    def test_inexact_division_raises_arithmetic_error(self):
+        with pytest.raises(ArithmeticError, match=r"^2 does not divide every coefficient$") as info:
+            (3 * X) / 2
+        assert info.type is ArithmeticError
+        with pytest.raises(ArithmeticError, match=r"^-3 does not divide every coefficient$"):
+            (3 * X + 2 * KAP) / -3
+
+    def test_exact_division_keeps_ints(self):
+        quotient = (4 * X - 6 * KAP) / 2
+        assert quotient == 2 * X - 3 * KAP
+        assert [type(c) for _, c in quotient.terms()] == [int, int]
+        assert (2 ** 70 * RHO) / -(2 ** 69) == -2 * RHO
 
     def test_divisor_must_be_a_nonzero_int(self):
         with pytest.raises(ZeroDivisionError):
             X / 0
+        with pytest.raises(ZeroDivisionError):
+            SymExpr() / 0
         with pytest.raises(TypeError):
             X / 0.5
         with pytest.raises(TypeError):
@@ -559,9 +561,10 @@ class TestTextForm:
     def test_golden_square(self):
         assert str((X + KAP) ** 2) == "X^2 + 2*X*KAP + KAP^2"
 
-    def test_golden_signs_and_fractions(self):
-        p = rational(-3, 2) * X + RHO - x_pow(-1)
-        assert str(p) == "-3/2*X + RHO - X^-1"
+    def test_golden_signs(self):
+        p = -3 * X + RHO - x_pow(-1)
+        assert str(p) == "-3*X + RHO - X^-1"
+        assert str(2 ** 70 * KAP - 1) == "1180591620717411303424*KAP - 1"
 
     def test_zero(self):
         assert str(SymExpr()) == "0"
