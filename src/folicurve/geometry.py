@@ -16,17 +16,13 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
 
-from .identity import (
-    GeometrySignature,
-    RIEMANNIAN,
-    neg_nH_S3,
-    s_squared_reduced,
-)
+from .identity import (GeometrySignature, LORENTZIAN, RIEMANNIAN, half_dt_K_squared, neg_nH_S3,
+                       s_squared_factored, s_squared_reduced)
 
 LEAF_TOL = 1e-9          # membership in the leaf sphere, widened by LEAF_ROUNDING * |k r|
 LEAF_ROUNDING = 16 * sys.float_info.epsilon  # rounding of a point built on a leaf, per unit k r
@@ -171,13 +167,11 @@ def mean_curvature_at(
 
 def is_spacelike(p: SurfacePoint, jet: FoliationJet) -> bool:
     """Lorentzian test: grad f timelike on the leaf, i.e. the Lorentzian
-    S^2 = A^2 - x_n^2 r^2 (the factored form `identity.s_squared_reduced`
-    checks) is positive."""
+    S^2 = A^2 - x_n^2 r^2 (`identity.s_squared_factored`, which
+    `identity.s_squared_reduced` proves) is positive."""
     k, r = jet.k, jet.r
     _require_on_leaf(p, k, r)
-    xn = p.xn
-    a = (xn - k) * jet.k1 + r * jet.r1  # A = (x_n - k) k' + r r'
-    q = a * a - (xn * r) ** 2
+    q = s_squared_factored(LORENTZIAN.epsilon, p.xn, k, jet.k1, r, jet.r1)
     if abs(q) <= DEGENERACY_TOL:
         raise DegenerateNormal(f"null gradient at x_n={p.xn}, t={p.t}")
     return q > 0
@@ -330,8 +324,9 @@ def leaf_points(jet: FoliationJet, n: int, count: int) -> list[SurfacePoint]:
 
 
 def dKdt_of_jet(jet: FoliationJet) -> float:
-    """d/dt sqrt(k^2 - r^2) = (k k' - r r') / sqrt(k^2 - r^2)."""
-    return (jet.k * jet.k1 - jet.r * jet.r1) / math.sqrt(jet.k ** 2 - jet.r ** 2)
+    """d/dt sqrt(k^2 - r^2) = (k k' - r r') / sqrt(k^2 - r^2), the numerator
+    `identity.half_dt_K_squared`."""
+    return half_dt_K_squared(jet.k, jet.k1, jet.r, jet.r1) / math.sqrt(jet.k ** 2 - jet.r ** 2)
 
 
 _CSV_FLAG = {None: "", True: "true", False: "false"}  # a row's spacelike field
@@ -364,25 +359,11 @@ class ScanReport:
     rows: list[ScanRow] = field(repr=False)
 
     def summary(self) -> dict:
-        return {
-            "signature": self.signature,
-            "n": self.n,
-            "t_start": self.t_start,
-            "t_end": self.t_end,
-            "leaves": self.leaves,
-            "points_per_leaf": self.points_per_leaf,
-            "mean_H": self.mean_H,
-            "max_dev": self.max_dev,
-            "max_dKdt": self.max_dKdt,
-            "spacelike_fraction": self.spacelike_fraction,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
 
     def to_json(self) -> str:
         payload = self.summary()
-        payload["rows"] = [
-            {"t": row.t, "x_n": row.x_n, "H": row.H, "dKdt": row.dKdt, "spacelike": row.spacelike}
-            for row in self.rows
-        ]
+        payload["rows"] = [row._asdict() for row in self.rows]
         return json.dumps(payload)
 
     def to_csv(self, path: str) -> None:
@@ -396,7 +377,7 @@ class ScanReport:
         reprs differ."""
 
         def lines():
-            yield "t,x_n,H,dKdt,spacelike\r\n"
+            yield ",".join(ScanRow._fields) + "\r\n"
             t = dkdt = lead = tail = None
             for row_t, x_n, h, row_dkdt, spacelike in self.rows:
                 if row_t is not t or row_dkdt is not dkdt:
@@ -429,8 +410,7 @@ def constancy_scan(
     values: list[float] = []
     max_dkdt = 0.0
     lorentzian = sig is not RIEMANNIAN
-    if lorentzian:
-        s_squared_reduced(sig)  # proves the factored S^2 that is_spacelike evaluates
+    s_squared_reduced(sig)  # proves the formulas of is_spacelike and dKdt_of_jet
 
     try:
         for t in ts:

@@ -14,7 +14,9 @@ coefficient forces  k (n-2) (r r' - k k')^2 = 0.  When neither sign holds, the
 IdentityViolation carries the residual P^2 - Q^2.
 
 It holds every exact lemma, including those of the rotational ODE form, and the
-`verify --mutate` hook; no other module raises IdentityViolation.
+`verify --mutate` hook; no other module raises IdentityViolation.  It also holds
+every float formula on a profile's jet that `geometry` and `profiles` evaluate:
+each is a plain function of its inputs, proved here on the ring's generators.
 """
 
 from __future__ import annotations
@@ -57,9 +59,8 @@ class GeometrySignature(enum.Enum):
     # the Python-level Enum.__hash__.
     __hash__ = object.__hash__
 
-    @property
-    def epsilon(self) -> int:
-        return self.value
+    def __init__(self, epsilon: int):
+        self.epsilon = epsilon  # a plain attribute: cmc_rhs reads it on every call
 
     @property
     def label(self) -> str:
@@ -77,9 +78,48 @@ RIEMANNIAN = GeometrySignature.RIEMANNIAN
 LORENTZIAN = GeometrySignature.LORENTZIAN
 
 
-def jet_A() -> SymExpr:
-    """A = (X - k) k' + r r', the t-slot of the half-gradient (up to sign)."""
-    return (X - KAP) * KAP1 + RHO * RHO1
+# -- the jet formulas: each proved below on the generators, and evaluated on floats
+
+def jet_A(x, k, k1, r, r1):
+    """A = (x_n - k) k' + r r' = -f_t / 2, the t-slot of the half-gradient (up to sign)."""
+    return (x - k) * k1 + r * r1
+
+
+def s_squared_factored(eps, x, k, k1, r, r1):
+    """S^2 on the leaf as A^2 + eps x_n^2 r^2 (`s_squared_reduced` proves it)."""
+    a = jet_A(x, k, k1, r, r1)
+    return a * a + eps * (x * r) ** 2
+
+
+def admissibility_factor(eps, r, k1):
+    """F = eps r^2 + k'^2, with S^2 = X^2 F under k k' = r r' (`rotational_ode_form`)."""
+    return eps * (r * r) + k1 * k1
+
+
+def k_times_k1(r, r1):
+    """k k' = r r', the rotational constraint (the KAP1 rule)."""
+    return r * r1
+
+
+def k_times_k2(r, r1, r2, k1):
+    """k k'' = r'^2 + r r'' - k'^2, its t-derivative (the KAP2 rule)."""
+    return r1 * r1 + r * r2 - k1 * k1
+
+
+def r_times_r2(k, k1, k2, r1):
+    """r r'' = k k'' + k'^2 - r'^2 under the constraint (`rotational_ode_form`)."""
+    return k * k2 + k1 * k1 - r1 * r1
+
+
+def half_dt_K_squared(k, k1, r, r1):
+    """d/dt (k^2 - r^2) / 2 = k k' - r r', the numerator of dK/dt (`s_squared_reduced`)."""
+    return k * k1 - r * r1
+
+
+@lru_cache(maxsize=None)
+def half_dt_f() -> SymExpr:
+    """f_t / 2 of f = SIG + (X - k)^2 - r^2, the model's leaf function: -A."""
+    return (SIG + (X - KAP) ** 2 - RHO ** 2).d_dt() / 2
 
 
 def jet_B() -> SymExpr:
@@ -100,18 +140,21 @@ class CubicCoefficients:
 
 
 def s_squared_unreduced(sig: GeometrySignature) -> SymExpr:
-    """S^2 = |grad f|^2 / 4 before level-set reduction: eps * spatial + A^2."""
+    """S^2 = |grad f|^2 / 4 before level-set reduction: eps * spatial + (f_t / 2)^2."""
     spatial = X ** 2 * SIG + X ** 2 * (X - KAP) ** 2
-    return sig.epsilon * spatial + jet_A() ** 2
+    return sig.epsilon * spatial + half_dt_f() ** 2
 
 
 @lru_cache(maxsize=None)
 def s_squared_reduced(sig: GeometrySignature) -> SymExpr:
-    """S^2 on the leaf, proved once equal to A^2 + eps * X^2 r^2: the factored
-    form that `geometry.is_spacelike` evaluates."""
+    """S^2 on the leaf, proved once equal to `s_squared_factored`, the form that
+    `geometry.is_spacelike` evaluates; also proves `half_dt_K_squared`, the
+    numerator of `geometry.dKdt_of_jet`."""
     s2 = s_squared_unreduced(sig).reduce_level_set()
-    if s2 != jet_A() ** 2 + sig.epsilon * X ** 2 * RHO ** 2:
+    if s2 != s_squared_factored(sig.epsilon, X, KAP, KAP1, RHO, RHO1):
         raise IdentityViolation(f"S^2 on the leaf is not A^2 + eps x_n^2 r^2 ({sig.label})")
+    if (KAP ** 2 - RHO ** 2).d_dt() != 2 * half_dt_K_squared(KAP, KAP1, RHO, RHO1):
+        raise IdentityViolation(f"d/dt (k^2 - r^2) is not 2 (k k' - r r') ({sig.label})")
     return s2
 
 
@@ -129,7 +172,7 @@ def neg_nH_S3(sig: GeometrySignature) -> SymExpr:
     eps = sig.epsilon
     s2 = s_squared_unreduced(sig)
     w_normal = X ** 2 * (X - KAP)
-    w_vertical = -eps * jet_A()
+    w_vertical = eps * half_dt_f()
     try:
         half_dX, half_dt = s2.d_dX() / 2, s2.d_dt() / 2
     except ArithmeticError:
@@ -186,7 +229,7 @@ def verify_squared_identity(
     neither sign matches, e.g. for a mutated or mistranscribed bracket, raises
     IdentityViolation with the residual P^2 - Q^2.
     """
-    lemma = jet_A().d_dt() + jet_B()
+    lemma = jet_A(X, KAP, KAP1, RHO, RHO1).d_dt() + jet_B()
     if not lemma.is_zero:
         raise IdentityViolation(f"d_dt(A) != -B, residual {lemma}")
 
@@ -205,8 +248,8 @@ def apply_rotational_constraint(p: SymExpr) -> SymExpr:
     Each pass replaces one KAP*KAP2 (else KAP*KAP1) pair per monomial, until a
     pass rewrites nothing; 0 then certifies membership in the constraint ideal.
     """
-    rules = ((Indeterminate.KAP2, RHO1 ** 2 + RHO * RHO2 - KAP1 ** 2),
-             (Indeterminate.KAP1, RHO * RHO1))
+    rules = ((Indeterminate.KAP2, k_times_k2(RHO, RHO1, RHO2, KAP1)),
+             (Indeterminate.KAP1, k_times_k1(RHO, RHO1)))
     changed = True
     while changed:
         changed, out = False, {}
@@ -228,14 +271,17 @@ def apply_rotational_constraint(p: SymExpr) -> SymExpr:
 @lru_cache(maxsize=None)
 def rotational_ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr, int]:
     """(lead, rest, -s): c3 = lead k'' + rest and the branch of -s n H F^{3/2} = c3
-    for a rotational profile.  Proves c2 = 0 and S^2 = X^2 F modulo k k' = r r'
-    first (F the admissibility factor), then P = s Q."""
+    for a rotational profile.  Proves c2 = 0, S^2 = X^2 F (F the
+    `admissibility_factor`) and `r_times_r2` modulo k k' = r r' first, then
+    P = s Q."""
     cubic = bracket_cubic(sig)
     if not apply_rotational_constraint(cubic.c2).is_zero:
         raise IdentityViolation(f"c2 does not vanish under the rotational constraint ({sig.label})")
-    factor = sig.epsilon * RHO ** 2 + KAP1 ** 2
+    factor = admissibility_factor(sig.epsilon, RHO, KAP1)
     if apply_rotational_constraint(s_squared_reduced(sig)) != X ** 2 * factor:
         raise IdentityViolation(f"S^2 is not X^2 F under the rotational constraint ({sig.label})")
+    if not apply_rotational_constraint(RHO * RHO2 - r_times_r2(KAP, KAP1, KAP2, RHO1)).is_zero:
+        raise IdentityViolation(f"r r'' is not k k'' + k'^2 - r'^2 under the rotational constraint ({sig.label})")
     branch = -verify_squared_identity(sig)
     return cubic.c3.coeff_of(Indeterminate.KAP2, 1), cubic.c3.coeff_of(Indeterminate.KAP2, 0), branch
 

@@ -4,12 +4,14 @@ A rotational profile keeps the hyperbolic center fixed at height K, so
 k = sqrt(K^2 + r^2) and k k' = r r' identically.  Under that constraint the
 quadratic and linear bracket coefficients vanish, S^2 = X^2 F, and the cubic
 coefficient alone carries the curvature:  -s n H * F^{3/2} = c3,  with s the
-verified global sign of P = s Q and F = r^2 + k'^2 (Riemannian) or
-k'^2 - r^2 (Lorentzian, positive exactly on spacelike leaves).  c3 is linear
-in k'', which is how r'' is recovered.
+verified global sign of P = s Q and F = eps r^2 + k'^2: r^2 + k'^2
+(Riemannian) or k'^2 - r^2 (Lorentzian, positive exactly on spacelike
+leaves).  c3 is linear in k'', which is how r'' is recovered.
 
-The ODE right-hand side is never transcribed by hand: it is the k''-linear split
-of the verified c3, which `identity.rotational_ode_form` proves and returns.
+Nothing here is transcribed by hand: the ODE right-hand side is the k''-linear
+split of the verified c3, which `identity.rotational_ode_form` proves and
+returns, and every formula on the k- and r-jets (F, k k', k k'', r r'') is an
+`identity` function that the same lemmas prove.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from .geometry import (
@@ -28,7 +30,8 @@ from .geometry import (
     StepUnstable,
     constancy_scan,
 )
-from .identity import GeometrySignature, RIEMANNIAN, rotational_ode_form
+from .identity import (GeometrySignature, admissibility_factor, k_times_k1, k_times_k2,
+                       r_times_r2, rotational_ode_form)
 
 R_MIN = 1e-6
 STEP_ERROR_LIMIT = 1e-8
@@ -52,20 +55,19 @@ def cmc_rhs(
 
     The branch -s comes from the verified identity P = s Q, so a generated
     profile measures H equal to the target under the orientation
-    N = -grad f/|grad f|; the mirror orientation is the target -H.
+    N = -grad f/|grad f|; the mirror orientation is the target -H.  F, k' and
+    r'' are `identity`'s proved formulas; F can fail to be positive only in
+    the Lorentzian metric (k'^2 - r^2), since r > 1e-12.
     """
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
     if r <= 1e-12:
         raise InvalidSphere(f"r = {r}")
     k = math.hypot(K, r)
-    k1 = r * r1 / k
-    if sig is RIEMANNIAN:
-        factor = r * r + k1 * k1
-    else:
-        factor = k1 * k1 - r * r
-        if factor <= 0:
-            raise DegenerateNormal(f"k'^2 - r^2 = {factor} at r={r}, r'={r1}")
+    k1 = k_times_k1(r, r1) / k
+    factor = admissibility_factor(sig.epsilon, r, k1)
+    if factor <= 0:
+        raise DegenerateNormal(f"k'^2 - r^2 = {factor} at r={r}, r'={r1}")
     lead_expr, rest_expr, branch = rotational_ode_form(sig)
     # dense bindings in Indeterminate order: X, KAP, KAP1, KAP2, RHO, RHO1, RHO2, SIG, NU
     bindings = [None, k, k1, None, r, r1, None, None, float(n)]
@@ -73,7 +75,7 @@ def cmc_rhs(
     rest = rest_expr.eval_numeric(bindings)
     target = branch * n * H * factor * math.sqrt(factor)
     k2 = (target - rest) / lead
-    return (k * k2 + k1 * k1 - r1 * r1) / r
+    return r_times_r2(k, k1, k2, r1) / r
 
 
 @dataclass(frozen=True)
@@ -116,17 +118,14 @@ class RotationalProfile:
                 "n": self.n,
                 "signature": self.sig.label,
                 "halted": self.halted,
-                "rows": [
-                    {"t": row.t, "r": row.r, "r1": row.r1, "k": row.k, "k1": row.k1}
-                    for row in self.rows
-                ],
+                "rows": [asdict(row) for row in self.rows],
             }
         )
 
 
 def _row(t: float, r: float, r1: float, K: float) -> ProfileRow:
     k = math.hypot(K, r)
-    return ProfileRow(t=t, r=r, r1=r1, k=k, k1=r * r1 / k)
+    return ProfileRow(t=t, r=r, r1=r1, k=k, k1=k_times_k1(r, r1) / k)
 
 
 def integrate_profile(
@@ -143,7 +142,8 @@ def integrate_profile(
 
     Halts early (partial table, `halted` set) when r reaches R_MIN, at a row
     or at a stage inside a step, or when the admissibility factor fails; raises
-    StepUnstable if the local error estimate exceeds STEP_ERROR_LIMIT.  A row's
+    StepUnstable if the local error estimate exceeds STEP_ERROR_LIMIT, and
+    OverflowError if a step's result is not finite or a stage overflows.  A row's
     t is the running sum t += h, so a range whose t the step cannot advance to
     within T_ROUNDING of the step (a step near the float spacing of t) is
     rejected with a ValueError, and a last remainder step that t cannot take by
@@ -210,14 +210,15 @@ def integrate_profile(
             break
         except OverflowError as err:
             raise OverflowError(f"float overflow in the profile ODE at t={t}") from err
+        # a product overflows to inf without raising, and the estimate of a
+        # non-finite step would be NaN, which no limit rejects
+        if not all(map(math.isfinite, full + half)):
+            raise OverflowError(f"float overflow in the profile ODE at t={t}")
         estimate = max(abs(full[0] - half[0]), abs(full[1] - half[1])) / 15.0
         if estimate > STEP_ERROR_LIMIT:
             raise StepUnstable(f"local error estimate {estimate} at t={t}")
         y = full
         t += h
-        if not (math.isfinite(y[0]) and math.isfinite(y[1])):
-            halted = "diverged"
-            break
         rows.append(_row(t, y[0], y[1], K))
         if y[0] <= R_MIN:
             halted = "r_min"
@@ -305,24 +306,24 @@ class HermiteProfile:
 
     def _r_jet(self, t: float) -> tuple[float, float, float]:
         i, s, w = self._segment(t)
-        r0, r1 = self.rs[i], self.rs[i + 1]
+        y0, y1 = self.rs[i], self.rs[i + 1]
         d0, d1 = self.r1s[i] * w, self.r1s[i + 1] * w
         c0, c1 = self.r2s[i] * w * w, self.r2s[i + 1] * w * w
         s2 = s * s
         s3, s4, s5 = s2 * s, s2 * s2, s2 * s2 * s
         value = (
-            (1 - 10 * s3 + 15 * s4 - 6 * s5) * r0
+            (1 - 10 * s3 + 15 * s4 - 6 * s5) * y0
             + (s - 6 * s3 + 8 * s4 - 3 * s5) * d0
             + 0.5 * (s2 - 3 * s3 + 3 * s4 - s5) * c0
-            + (10 * s3 - 15 * s4 + 6 * s5) * r1
+            + (10 * s3 - 15 * s4 + 6 * s5) * y1
             + (-4 * s3 + 7 * s4 - 3 * s5) * d1
             + 0.5 * (s3 - 2 * s4 + s5) * c1
         )
         slope = (
-            (-30 * s2 + 60 * s3 - 30 * s4) * r0
+            (-30 * s2 + 60 * s3 - 30 * s4) * y0
             + (1 - 18 * s2 + 32 * s3 - 15 * s4) * d0
             + 0.5 * (2 * s - 9 * s2 + 12 * s3 - 5 * s4) * c0
-            + (30 * s2 - 60 * s3 + 30 * s4) * r1
+            + (30 * s2 - 60 * s3 + 30 * s4) * y1
             + (-12 * s2 + 28 * s3 - 15 * s4) * d1
             + 0.5 * (3 * s2 - 8 * s3 + 5 * s4) * c1
         ) / w
@@ -334,8 +335,8 @@ class HermiteProfile:
     def jet_values(self, t: float) -> tuple[float, float, float, float, float, float]:
         r, r1, r2 = self._r_jet(t)
         k = math.hypot(self.K, r)
-        k1 = r * r1 / k
-        k2 = (r1 * r1 + r * r2 - k1 * k1) / k
+        k1 = k_times_k1(r, r1) / k
+        k2 = k_times_k2(r, r1, r2, k1) / k
         return k, k1, k2, r, r1, r2
 
 

@@ -266,16 +266,13 @@ class SymExpr:
 
     # -- numeric evaluation --------------------------------------------------
 
-    def eval_numeric(
-        self, bindings: Mapping[Indeterminate, float] | Sequence[float | None]
-    ) -> float:
+    def eval_numeric(self, bindings: Sequence[float | None]) -> float:
         """IEEE-double evaluation; each coefficient enters as float(coeff).
 
-        `bindings` is either a mapping keyed by `Indeterminate` or a dense
-        sequence of `len(Indeterminate)` values indexed by it, with None in
-        the slots left unbound; both give the same float.  The first call
-        compiles the polynomial into a straight-line kernel
-        (`_compile_kernel`) that every later call reuses.
+        `bindings` is a dense sequence of `len(Indeterminate)` values indexed
+        by it, with None in the slots left unbound.  The first call compiles
+        the polynomial into a straight-line kernel (`_compile_kernel`) that
+        every later call reuses.
         """
         try:
             kernel = self._kernel
@@ -283,13 +280,9 @@ class SymExpr:
             kernel = self._kernel = self._compile_kernel()
         try:
             return kernel(bindings)
-        except (KeyError, IndexError, TypeError):
-            used = self.indeterminates()
-            if isinstance(bindings, Mapping):
-                missing = [ind.name for ind in used if ind not in bindings]
-            else:
-                missing = [ind.name for ind in used
-                           if ind >= len(bindings) or bindings[ind] is None]
+        except (IndexError, TypeError):
+            missing = [ind.name for ind in self.indeterminates()
+                       if ind >= len(bindings) or bindings[ind] is None]
             if missing:
                 raise MissingBinding(f"no value for {', '.join(sorted(missing))}") from None
             raise
@@ -303,8 +296,8 @@ class SymExpr:
         float(coeff), and add the terms left to right to 0.0.  Each distinct
         power is computed once (`b ** 1` is `b`), and so is each `1.0 * power`
         that starts a product (a no-op for float bindings, a conversion for
-        integer ones).  A binding is read as `b[int(ind)]`, which an
-        `Indeterminate`-keyed mapping and a dense sequence both answer.
+        integer ones).  A binding is read as `b[int(ind)]` from the dense
+        sequence.
 
         Two rewrites drop work without changing a bit.  A product prefix that
         several terms share (`(1.0 * x) * kap`, say) is computed once, by the

@@ -71,7 +71,7 @@ def test_criterion_02_lorentzian_identity_exact():
 
 
 def test_criterion_03_divergence_display_term_for_term():
-    a, b = jet_A(), jet_B()
+    a, b = jet_A(X, KAP, KAP1, RHO, RHO1), jet_B()
     display = (
         2 * a ** 2 * X ** 2
         + (NU - 1) * KAP * RHO ** 2 * X ** 3

@@ -7,6 +7,7 @@ rewrite must also fail where and how the reference fails.
 
 import math
 import struct
+from types import SimpleNamespace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 
-from folicurve import profiles
-from folicurve.geometry import DegenerateNormal, InvalidSphere
+from folicurve import geometry, profiles
+from folicurve.geometry import (DEGENERACY_TOL, DegenerateNormal, FoliationJet, InvalidSphere,
+                                SurfacePoint, _require_on_leaf)
 from folicurve.identity import (LORENTZIAN, RIEMANNIAN, neg_nH_S3, rotational_ode_form,
                                 s_squared_reduced)
 from folicurve.symexpr import Indeterminate, SymExpr
@@ -121,6 +123,29 @@ def reference_cmc_rhs(r, r1, K, H, n, sig):
     return (k * k2 + k1 * k1 - r1 * r1) / r
 
 
+def reference_is_spacelike(p: SurfacePoint, jet: FoliationJet) -> bool:
+    k, r = jet.k, jet.r
+    _require_on_leaf(p, k, r)
+    xn = p.xn
+    a = (xn - k) * jet.k1 + r * jet.r1  # A = (x_n - k) k' + r r'
+    q = a * a - (xn * r) ** 2
+    if abs(q) <= DEGENERACY_TOL:
+        raise DegenerateNormal(f"null gradient at x_n={p.xn}, t={p.t}")
+    return q > 0
+
+
+def reference_jet_values(self, t: float) -> tuple[float, float, float, float, float, float]:
+    r, r1, r2 = self._r_jet(t)
+    k = math.hypot(self.K, r)
+    k1 = r * r1 / k
+    k2 = (r1 * r1 + r * r2 - k1 * k1) / k
+    return k, k1, k2, r, r1, r2
+
+
+def reference_dKdt_of_jet(jet: FoliationJet) -> float:
+    return (jet.k * jet.k1 - jet.r * jet.r1) / math.sqrt(jet.k ** 2 - jet.r ** 2)
+
+
 # -- outcomes ---------------------------------------------------------------------
 
 def outcome(fn, *args):
@@ -135,6 +160,15 @@ def outcome(fn, *args):
     except Exception as err:  # the type and text are what is compared
         return type(err), str(err)
     return float, "nan" if math.isnan(value) else struct.pack("<d", value)
+
+
+def outcomes(fn, *args):
+    """The `outcome` of each entry of the tuple fn returns, or of its exception."""
+    try:
+        values = fn(*args)
+    except Exception as err:  # the type and text are what is compared
+        return type(err), str(err)
+    return tuple(outcome(lambda value=value: value) for value in values)
 
 
 # -- the compiled polynomial kernels ------------------------------------------------
@@ -204,13 +238,6 @@ class TestCompiledKernel:
         expected = kernel_outcome(reference_compile_kernel, poly, bindings)
         assert kernel_outcome(SymExpr._compile_kernel, poly, bindings) == expected
 
-    @given(shared_prefix_polynomials(), dense_bindings())
-    @settings(max_examples=100, deadline=None)
-    def test_mapping_bindings_match(self, poly, bindings):
-        mapping = dict(zip(Indeterminate, bindings))
-        expected = kernel_outcome(reference_compile_kernel, poly, mapping)
-        assert kernel_outcome(SymExpr._compile_kernel, poly, mapping) == expected
-
     @pytest.mark.parametrize("sig", [RIEMANNIAN, LORENTZIAN])
     @given(bindings=st.lists(st.floats(min_value=-8.0, max_value=8.0)
                              | st.sampled_from(SPECIAL) | st.integers(-3, 3),
@@ -275,15 +302,17 @@ class TestLagrangeStencil:
         assert outcome(profiles._lagrange_stencil(len(window[0])), *window) == expected
 
 
-# -- cmc_rhs ------------------------------------------------------------------------
+# -- cmc_rhs and the other callers of identity's jet formulas ------------------------
+
+RADII = st.floats(min_value=-1.0, max_value=3.0) | st.sampled_from([1e-12, 1e-11, 1e300])
+SLOPES = st.floats(min_value=-5.0, max_value=5.0) | st.sampled_from(SPECIAL)
+CENTERS = st.floats(min_value=-1.0, max_value=3.0) | st.sampled_from([0.0, 1e-300, 1e300])
+CURVATURES = st.floats(min_value=-2.0, max_value=2.0) | st.sampled_from(SPECIAL)
+
 
 class TestCmcRhs:
     @pytest.mark.parametrize("sig", [RIEMANNIAN, LORENTZIAN])
-    @given(r=st.floats(min_value=-1.0, max_value=3.0) | st.sampled_from([1e-12, 1e-11, 1e300]),
-           r1=st.floats(min_value=-5.0, max_value=5.0) | st.sampled_from(SPECIAL),
-           K=st.floats(min_value=-1.0, max_value=3.0) | st.sampled_from([0.0, 1e-300, 1e300]),
-           H=st.floats(min_value=-2.0, max_value=2.0) | st.sampled_from(SPECIAL),
-           n=st.integers(2, 6))
+    @given(r=RADII, r1=SLOPES, K=CENTERS, H=CURVATURES, n=st.integers(2, 6))
     @settings(max_examples=400, deadline=None)
     def test_matches_the_reference(self, sig, r, r1, K, H, n):
         expected = outcome(reference_cmc_rhs, r, r1, K, H, n, sig)
@@ -298,3 +327,29 @@ class TestCmcRhs:
         expected = outcome(reference_cmc_rhs, r, r1, K, 0.3, 3, LORENTZIAN)
         assert expected[0] is DegenerateNormal
         assert outcome(profiles.cmc_rhs, r, r1, K, 0.3, 3, LORENTZIAN) == expected
+
+
+class TestJetFormulaCallers:
+    @given(k=CENTERS, k1=SLOPES, r=RADII, r1=SLOPES, theta=st.floats(min_value=0.0, max_value=3.2),
+           off=st.sampled_from([0.0, 0.0, 0.0, 1e-3]))
+    @settings(max_examples=400, deadline=None)
+    def test_is_spacelike_matches_the_reference(self, k, k1, r, r1, theta, off):
+        # points on the leaf, and now and then one off it
+        jet = FoliationJet(t=0.5, k=k, k1=k1, k2=0.0, r=r, r1=r1, r2=0.0)
+        point = SurfacePoint(r * math.sin(theta), k + r * math.cos(theta) + off, 0.5)
+        expected = outcome(reference_is_spacelike, point, jet)
+        assert outcome(geometry.is_spacelike, point, jet) == expected
+
+    @given(K=CENTERS, r=RADII, r1=SLOPES, r2=SLOPES, t=st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=400, deadline=None)
+    def test_jet_values_matches_the_reference(self, K, r, r1, r2, t):
+        # a stand-in for the interpolant: its K, and an r-jet that ignores t
+        interpolant = SimpleNamespace(K=K, _r_jet=lambda t: (r, r1, r2))
+        expected = outcomes(reference_jet_values, interpolant, t)
+        assert outcomes(profiles.HermiteProfile.jet_values, interpolant, t) == expected
+
+    @given(k=CENTERS, k1=SLOPES, r=RADII, r1=SLOPES)
+    @settings(max_examples=400, deadline=None)
+    def test_dKdt_of_jet_matches_the_reference(self, k, k1, r, r1):
+        jet = FoliationJet(t=0.5, k=k, k1=k1, k2=0.0, r=r, r1=r1, r2=0.0)
+        assert outcome(geometry.dKdt_of_jet, jet) == outcome(reference_dKdt_of_jet, jet)

@@ -262,13 +262,21 @@ OVERFLOWS = [
     ["generate", "--n", "2", "--K", "0.001", "--r0", "0.0001", "--r1", "0.5", "--H", "2",
      "--t", "0:0.01"],
     ["generate", "--n", "3", "--K", "1", "--H", "1e300", "--t", "0:0.01"],
+    # a stage overflows to inf without raising: the step's result is not finite
+    ["generate", "--n", "3", "--K", "1", "--H", "1e308", "--t", "0:0.01"],
+    ["generate", "--n", "3", "--K", "1", "--H", "1e155", "--t", "0:0.01"],
+    ["generate", "--signature", "lorentzian", "--n", "3", "--K", "1", "--r0", "0.5", "--r1", "2",
+     "--H", "1e308", "--t", "0:0.01"],
+    ["generate", "--n", "2", "--K", "0.001", "--r0", "0.0001", "--r1", "0.5", "--H", "50",
+     "--t", "0:0.01", "--validate", "--samples", "5"],
     ["scan", "--k", "10^150", "--r", "10^149", "--n", "3", "--t", "0:1", "--samples", "2"],
     # the kernels overflow to inf without raising, and S^2 and H come out NaN
     ["scan", "--k", "10^100*(1+t)", "--r", "5*10^99", "--n", "3", "--t", "0:1", "--samples", "3",
      "--points-per-leaf", "2"],
 ]
-OVERFLOW_IDS = ["generate-ode-overflow", "generate-huge-H", "scan-kernel-overflow",
-                "scan-nonfinite-H"]
+OVERFLOW_IDS = ["generate-ode-overflow", "generate-huge-H", "generate-nonfinite-step",
+                "generate-nonfinite-step-1e155", "generate-nonfinite-step-lorentzian",
+                "generate-nonfinite-half-step", "scan-kernel-overflow", "scan-nonfinite-H"]
 SCAN_INFINITE_CENTER = ["scan", "--k", "10^200*10^200", "--r", "1", "--n", "3", "--t", "0:1",
                         "--samples", "2"]
 
@@ -367,7 +375,8 @@ class TestBadInput:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
-    @pytest.mark.parametrize("extra", [[], ["--r1", "0.5", "--H", "50"]],
+    # K far below r: hypot(K, r) rounds to r, so the rescanned leaf fails k > r
+    @pytest.mark.parametrize("extra", [[], ["--K", "1e-9", "--r0", "1"]],
                              ids=["degenerate-normal", "invalid-sphere"])
     def test_rescan_failure_is_validation_failure(self, extra, capsys):
         code, out, err = run(self.RESCAN + extra, capsys)

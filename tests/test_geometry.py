@@ -150,7 +150,7 @@ class TestPointPath:
 
     def test_bindings_follow_indeterminate_order(self):
         # mean_curvature_at builds its dense bindings inline: they must give the
-        # bits of the verified polynomials bound by an Indeterminate-keyed mapping
+        # bits of the verified polynomials bound slot by slot from a keyed mapping
         jet = FoliationJet(t=0.5, k=3.0, k1=8.0, k2=-0.2, r=0.5, r1=0.3, r2=0.4)
         n = 4
         bindings = {
@@ -162,10 +162,11 @@ class TestPointPath:
             checked = 0
             for point in leaf_points(jet, n, 16):
                 bindings[Indeterminate.X] = point.xn
-                s2 = s_squared_reduced(sig).eval_numeric(bindings)
+                values = [bindings.get(ind) for ind in Indeterminate]
+                s2 = s_squared_reduced(sig).eval_numeric(values)
                 if s2 <= DEGENERACY_TOL:  # not spacelike: mean_curvature_at raises
                     continue
-                expected = -neg_nH_S3(sig).eval_numeric(bindings) / (n * s2 * math.sqrt(s2))
+                expected = -neg_nH_S3(sig).eval_numeric(values) / (n * s2 * math.sqrt(s2))
                 assert float.hex(mean_curvature_at(point, jet, n, sig)) == float.hex(expected)
                 checked += 1
             assert checked >= 4, sig

@@ -57,11 +57,11 @@ def substitute_cylinder(p: SymExpr) -> SymExpr:
 class TestNormSquared:
     def test_riemannian_reduces_to_quarter_norm(self):
         reduced = (4 * s_squared_unreduced(RIEMANNIAN)).reduce_level_set()
-        assert reduced == 4 * (X ** 2 * RHO ** 2 + jet_A() ** 2)
+        assert reduced == 4 * (X ** 2 * RHO ** 2 + jet_A(X, KAP, KAP1, RHO, RHO1) ** 2)
 
     def test_lorentzian_reduces_with_negative_radial_term(self):
         reduced = (4 * s_squared_unreduced(LORENTZIAN)).reduce_level_set()
-        assert reduced == 4 * (-(X ** 2) * RHO ** 2 + jet_A() ** 2)
+        assert reduced == 4 * (-(X ** 2) * RHO ** 2 + jet_A(X, KAP, KAP1, RHO, RHO1) ** 2)
 
     def test_cylinder_jet(self):
         reduced = substitute_cylinder((4 * s_squared_unreduced(RIEMANNIAN)).reduce_level_set())
@@ -79,15 +79,16 @@ class TestNormSquared:
         finally:
             monkeypatch.undo()
             s_squared_reduced.cache_clear()
-        assert s_squared_reduced(sig) == jet_A() ** 2 + sig.epsilon * X ** 2 * RHO ** 2
+        a = jet_A(X, KAP, KAP1, RHO, RHO1)
+        assert s_squared_reduced(sig) == a ** 2 + sig.epsilon * X ** 2 * RHO ** 2
 
 
 class TestDivergenceExpansion:
     def test_t_derivative_lemma(self):
-        assert jet_A().d_dt() == -jet_B()
+        assert jet_A(X, KAP, KAP1, RHO, RHO1).d_dt() == -jet_B()
 
     def test_riemannian_matches_closed_form_display(self):
-        a, b = jet_A(), jet_B()
+        a, b = jet_A(X, KAP, KAP1, RHO, RHO1), jet_B()
         display = (
             2 * a ** 2 * X ** 2
             + (NU - 1) * KAP * RHO ** 2 * X ** 3
@@ -259,6 +260,75 @@ class TestExactBoundary:
                     for alias in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         assert "fractions" not in imported
+
+
+def _jet_arithmetic(module: str) -> list[str]:
+    """`module:line` of each arithmetic BinOp outside the finite-difference
+    oracle with an operand (a name or an attribute) called k1, k2, r1 or r2."""
+    tree = ast.parse((SRC / module).read_text())
+    oracle = {id(node) for fd in ast.walk(tree)
+              if isinstance(fd, ast.FunctionDef) and fd.name == "mean_curvature_fd"
+              for node in ast.walk(fd)}
+
+    def name(operand) -> str | None:
+        return getattr(operand, "id", None) or getattr(operand, "attr", None)
+
+    return [f"{module}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and id(node) not in oracle
+            and {name(node.left), name(node.right)} & {"k1", "k2", "r1", "r2"}]
+
+
+# a command, and the lemma it proves before its first float
+SCAN_LORENTZIAN = (["scan", "--signature", "lorentzian", "--k", "2", "--r", "1+1.5*t", "--n", "3",
+                    "--t", "0:0.3"], lambda: s_squared_reduced(LORENTZIAN))
+GENERATE = (["generate", "--n", "3", "--K", "1", "--t", "0:0.05"],
+            lambda: rotational_ode_form(RIEMANNIAN))
+
+# each jet formula with one sign changed, a command whose lemma rejects it, and its message
+MUTATIONS = {
+    "jet_A": (lambda x, k, k1, r, r1: (x - k) * k1 - r * r1,
+              SCAN_LORENTZIAN, "S^2 on the leaf is not A^2 + eps x_n^2 r^2 (lorentzian)"),
+    "s_squared_factored": (
+        lambda eps, x, k, k1, r, r1: identity.jet_A(x, k, k1, r, r1) ** 2 - eps * (x * r) ** 2,
+        SCAN_LORENTZIAN, "S^2 on the leaf is not A^2 + eps x_n^2 r^2 (lorentzian)"),
+    "half_dt_K_squared": (lambda k, k1, r, r1: k * k1 + r * r1,
+                          SCAN_LORENTZIAN, "d/dt (k^2 - r^2) is not 2 (k k' - r r') (lorentzian)"),
+    "k_times_k1": (lambda r, r1: -r * r1,
+                   GENERATE, "c2 does not vanish under the rotational constraint (riemannian)"),
+    "k_times_k2": (lambda r, r1, r2, k1: r1 * r1 - r * r2 - k1 * k1,
+                   GENERATE, "c2 does not vanish under the rotational constraint (riemannian)"),
+    "admissibility_factor": (lambda eps, r, k1: eps * (r * r) - k1 * k1,
+                             GENERATE, "S^2 is not X^2 F under the rotational constraint (riemannian)"),
+    "r_times_r2": (lambda k, k1, k2, r1: k * k2 - k1 * k1 - r1 * r1,
+                   GENERATE, "r r'' is not k k'' + k'^2 - r'^2 under the rotational constraint"
+                             " (riemannian)"),
+}
+
+
+class TestOneSourcePerFormula:
+    @pytest.mark.parametrize("module", ["geometry.py", "profiles.py"])
+    def test_no_jet_arithmetic_outside_identity(self, module):
+        # every float formula on k', k'', r', r'' is an identity function that a lemma proves
+        assert _jet_arithmetic(module) == []
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_a_changed_sign_fails_its_lemma(self, name, monkeypatch, capsys):
+        mutated, (argv, lemma), message = MUTATIONS[name]
+        caches = (neg_nH_S3, s_squared_reduced, bracket_cubic, rotational_ode_form)
+        monkeypatch.setattr(identity, name, mutated)
+        for cached in caches:
+            cached.cache_clear()
+        try:
+            with pytest.raises(IdentityViolation) as info:
+                lemma()
+            code = cli.main(argv)
+        finally:
+            monkeypatch.undo()
+            for cached in caches:
+                cached.cache_clear()
+        assert str(info.value) == message
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (1, "", message + "\n")
 
 
 def _unnamed_definitions() -> list[str]:

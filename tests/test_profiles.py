@@ -99,16 +99,15 @@ class TestCmcRhs:
         k = math.hypot(K, r)
         k1 = r * r1 / k
         k2 = (r1 * r1 + r * r2 - k1 * k1) / k
-        c3 = bracket_cubic(sig).c3.eval_numeric(
-            {
-                Indeterminate.KAP: k,
-                Indeterminate.KAP1: k1,
-                Indeterminate.KAP2: k2,
-                Indeterminate.RHO: r,
-                Indeterminate.RHO1: r1,
-                Indeterminate.NU: float(n),
-            }
-        )
+        bindings = {
+            Indeterminate.KAP: k,
+            Indeterminate.KAP1: k1,
+            Indeterminate.KAP2: k2,
+            Indeterminate.RHO: r,
+            Indeterminate.RHO1: r1,
+            Indeterminate.NU: float(n),
+        }
+        c3 = bracket_cubic(sig).c3.eval_numeric([bindings.get(ind) for ind in Indeterminate])
         factor = r * r + k1 * k1 if sig is RIEMANNIAN else k1 * k1 - r * r
         branch = -verify_squared_identity(sig)
         residual = c3 - branch * n * H * factor * math.sqrt(factor)
@@ -197,6 +196,15 @@ class TestIntegration:
         assert profile.halted is not None and "admissibility" in profile.halted
         assert 1 < len(profile.rows) < 2001
         assert profile.rows[-1].r < 0.1
+
+    @pytest.mark.parametrize("r0, r1, H, sig", [(1.0, 0.0, 1e308, RIEMANNIAN),
+                                                (1.0, 0.0, 1e155, RIEMANNIAN),
+                                                (0.5, 2.0, 1e308, LORENTZIAN)])
+    def test_non_finite_step_raises_overflow(self, r0, r1, H, sig):
+        # a stage's products overflow to inf without raising, and the step's
+        # error estimate comes out NaN, which no limit rejects
+        with pytest.raises(OverflowError, match=r"^float overflow in the profile ODE at t=0\.0$"):
+            integrate_profile(r0, r1, (0.0, 0.01), 1e-3, 1.0, H, 3, sig)
 
     def test_step_monitor_trips_near_blowup(self):
         with pytest.raises(StepUnstable):
