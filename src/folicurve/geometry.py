@@ -39,12 +39,12 @@ class DegenerateNormal(ArithmeticError):
 
 
 class InvalidSphere(ValueError):
-    """Sphere data off the open half-space or not finite: a leaf's 2-jet that
-    fails k > r > 0 or has a non-finite entry (FoliationJet.require_valid); a
-    center conversion whose input fails k > r > 0 or K, R > 0, or whose result
-    is not a finite positive float (euclidean_to_hyperbolic,
-    hyperbolic_to_euclidean); a leaf radius r <= 1e-12 in the profile ODE,
-    whose lead term is -r^2 (profiles.cmc_rhs)."""
+    """Sphere data off the open half-space or not finite: a leaf's 2-jet or a
+    profile row that fails k > r > 0 (require_sphere), a 2-jet with a
+    non-finite entry (FoliationJet.require_valid); a center conversion whose
+    input fails k > r > 0 or K, R > 0, or whose result is not a finite positive
+    float (euclidean_to_hyperbolic, hyperbolic_to_euclidean); a leaf radius
+    r <= 1e-12 in the profile ODE, whose lead term is -r^2 (profiles.cmc_rhs)."""
 
 
 class NotOnLeaf(ValueError):
@@ -74,11 +74,16 @@ class FoliationJet:
         return cls(t=t, k=k, k1=k1, k2=k2, r=r, r1=r1, r2=r2)
 
     def require_valid(self) -> None:
-        if not (self.k > self.r > 0):
-            raise InvalidSphere(f"need k > r > 0 at t={self.t}, got k={self.k}, r={self.r}")
+        require_sphere(self.t, self.k, self.r)
         jet = (self.k, self.k1, self.k2, self.r, self.r1, self.r2)
         if not all(map(math.isfinite, jet)):
             raise InvalidSphere(f"need a finite (k, k', k'', r, r', r'') at t={self.t}, got {jet}")
+
+
+def require_sphere(t: float, k: float, r: float) -> None:
+    """The leaf at t is a sphere in the open half-space: k > r > 0."""
+    if not (k > r > 0):
+        raise InvalidSphere(f"need k > r > 0 at t={t}, got k={k}, r={r}")
 
 
 class SurfacePoint(NamedTuple):

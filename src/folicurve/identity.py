@@ -122,11 +122,6 @@ def half_dt_f() -> SymExpr:
     return (SIG + (X - KAP) ** 2 - RHO ** 2).d_dt() / 2
 
 
-def jet_B() -> SymExpr:
-    """B = k'^2 - (X - k) k'' - r'^2 - r r''; satisfies d_dt(A) = -B."""
-    return KAP1 ** 2 - (X - KAP) * KAP2 - RHO1 ** 2 - RHO * RHO2
-
-
 @dataclass(frozen=True)
 class CubicCoefficients:
     """X^3, X^2, X coefficients of the bracket cubic equal to -nH*S^3."""
@@ -145,16 +140,24 @@ def s_squared_unreduced(sig: GeometrySignature) -> SymExpr:
     return sig.epsilon * spatial + half_dt_f() ** 2
 
 
+def _prove(sig: GeometrySignature, *lemmas) -> None:
+    """Raise the claim of the first lemma (claim, residual) whose residual, a
+    thunk called in turn, is not the zero polynomial, as an IdentityViolation."""
+    for claim, residual in lemmas:
+        if not residual().is_zero:
+            raise IdentityViolation(f"{claim} ({sig.label})")
+
+
 @lru_cache(maxsize=None)
 def s_squared_reduced(sig: GeometrySignature) -> SymExpr:
     """S^2 on the leaf, proved once equal to `s_squared_factored`, the form that
     `geometry.is_spacelike` evaluates; also proves `half_dt_K_squared`, the
     numerator of `geometry.dKdt_of_jet`."""
     s2 = s_squared_unreduced(sig).reduce_level_set()
-    if s2 != s_squared_factored(sig.epsilon, X, KAP, KAP1, RHO, RHO1):
-        raise IdentityViolation(f"S^2 on the leaf is not A^2 + eps x_n^2 r^2 ({sig.label})")
-    if (KAP ** 2 - RHO ** 2).d_dt() != 2 * half_dt_K_squared(KAP, KAP1, RHO, RHO1):
-        raise IdentityViolation(f"d/dt (k^2 - r^2) is not 2 (k k' - r r') ({sig.label})")
+    _prove(sig, ("S^2 on the leaf is not A^2 + eps x_n^2 r^2",
+                 lambda: s2 - s_squared_factored(sig.epsilon, X, KAP, KAP1, RHO, RHO1)),
+           ("d/dt (k^2 - r^2) is not 2 (k k' - r r')",
+            lambda: (KAP ** 2 - RHO ** 2).d_dt() - 2 * half_dt_K_squared(KAP, KAP1, RHO, RHO1)))
     return s2
 
 
@@ -184,8 +187,8 @@ def neg_nH_S3(sig: GeometrySignature) -> SymExpr:
     density = -NU * x_pow(-1) * w_normal * s2
 
     total = (tangential + normal + vertical + density).reduce_level_set()
-    if Indeterminate.SIG in total.indeterminates():
-        raise IdentityViolation(f"SIG survives the level-set reduction ({sig.label})")
+    _prove(sig, ("SIG survives the level-set reduction",
+                 lambda: total - total.coeff_of(Indeterminate.SIG, 0)))
     return total
 
 
@@ -229,10 +232,6 @@ def verify_squared_identity(
     neither sign matches, e.g. for a mutated or mistranscribed bracket, raises
     IdentityViolation with the residual P^2 - Q^2.
     """
-    lemma = jet_A(X, KAP, KAP1, RHO, RHO1).d_dt() + jet_B()
-    if not lemma.is_zero:
-        raise IdentityViolation(f"d_dt(A) != -B, residual {lemma}")
-
     p = neg_nH_S3(sig)
     q = (bracket or bracket_cubic(sig)).assemble()
     if p == q:
@@ -275,13 +274,13 @@ def rotational_ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr, int]:
     `admissibility_factor`) and `r_times_r2` modulo k k' = r r' first, then
     P = s Q."""
     cubic = bracket_cubic(sig)
-    if not apply_rotational_constraint(cubic.c2).is_zero:
-        raise IdentityViolation(f"c2 does not vanish under the rotational constraint ({sig.label})")
-    factor = admissibility_factor(sig.epsilon, RHO, KAP1)
-    if apply_rotational_constraint(s_squared_reduced(sig)) != X ** 2 * factor:
-        raise IdentityViolation(f"S^2 is not X^2 F under the rotational constraint ({sig.label})")
-    if not apply_rotational_constraint(RHO * RHO2 - r_times_r2(KAP, KAP1, KAP2, RHO1)).is_zero:
-        raise IdentityViolation(f"r r'' is not k k'' + k'^2 - r'^2 under the rotational constraint ({sig.label})")
+    _prove(sig, ("c2 does not vanish under the rotational constraint",
+                 lambda: apply_rotational_constraint(cubic.c2)),
+           ("S^2 is not X^2 F under the rotational constraint",
+            lambda: apply_rotational_constraint(s_squared_reduced(sig))
+            - X ** 2 * admissibility_factor(sig.epsilon, RHO, KAP1)),
+           ("r r'' is not k k'' + k'^2 - r'^2 under the rotational constraint",
+            lambda: apply_rotational_constraint(RHO * RHO2 - r_times_r2(KAP, KAP1, KAP2, RHO1))))
     branch = -verify_squared_identity(sig)
     return cubic.c3.coeff_of(Indeterminate.KAP2, 1), cubic.c3.coeff_of(Indeterminate.KAP2, 0), branch
 

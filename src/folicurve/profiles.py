@@ -29,6 +29,7 @@ from .geometry import (
     ScanReport,
     StepUnstable,
     constancy_scan,
+    require_sphere,
 )
 from .identity import (GeometrySignature, admissibility_factor, k_times_k1, k_times_k2,
                        r_times_r2, rotational_ode_form)
@@ -125,6 +126,7 @@ class RotationalProfile:
 
 def _row(t: float, r: float, r1: float, K: float) -> ProfileRow:
     k = math.hypot(K, r)
+    require_sphere(t, k, r)
     return ProfileRow(t=t, r=r, r1=r1, k=k, k1=k_times_k1(r, r1) / k)
 
 
@@ -142,12 +144,13 @@ def integrate_profile(
 
     Halts early (partial table, `halted` set) when r reaches R_MIN, at a row
     or at a stage inside a step, or when the admissibility factor fails; raises
-    StepUnstable if the local error estimate exceeds STEP_ERROR_LIMIT, and
-    OverflowError if a step's result is not finite or a stage overflows.  A row's
-    t is the running sum t += h, so a range whose t the step cannot advance to
-    within T_ROUNDING of the step (a step near the float spacing of t) is
-    rejected with a ValueError, and a last remainder step that t cannot take by
-    the same rule is dropped.
+    InvalidSphere for a row whose k = hypot(K, r) rounds to r, StepUnstable if
+    the local error estimate exceeds STEP_ERROR_LIMIT, and OverflowError if a
+    step's result is not finite or a stage overflows.  A row's t is the running
+    sum t += h, so a range whose t the step cannot advance to within T_ROUNDING
+    of the step (a step near the float spacing of t) is rejected with a
+    ValueError, and a last remainder step that t cannot take by the same rule is
+    dropped.
     """
     if r0 <= 0:
         raise ValueError(f"r0 must be positive, got {r0}")
@@ -185,16 +188,12 @@ def integrate_profile(
     if remainder > 1e-12 * max(1.0, span) and math.ulp(far) / 2 <= T_ROUNDING * remainder:
         steps.append(remainder)
 
-    t = t0
-    y = (r0, r1_0)
-    rows = [_row(t, y[0], y[1], K)]
-    halted: str | None = None
-
-    if y[0] <= R_MIN:
-        halted = "r_min"
-        steps = []
-
-    for h_mag in steps:
+    t, y, rows = t0, (r0, r1_0), []
+    for h_mag in [*steps, None]:  # each pass records the row at t, then steps from it
+        rows.append(_row(t, y[0], y[1], K))
+        halted = "r_min" if y[0] <= R_MIN else None
+        if halted or h_mag is None:
+            break
         h = direction * h_mag
         try:
             # the full step and the first half step share their first stage
@@ -202,6 +201,9 @@ def integrate_profile(
             full = rk4(y, h, k1)
             mid = rk4(y, h / 2, k1)
             half = rk4(mid, h / 2, rhs(mid))
+            # products overflow to inf silently, and a NaN estimate would pass every limit
+            if not all(map(math.isfinite, full + half)):
+                raise OverflowError
         except InvalidSphere:  # a stage's radius fell to the axis, below R_MIN
             halted = "r_min"
             break
@@ -210,19 +212,11 @@ def integrate_profile(
             break
         except OverflowError as err:
             raise OverflowError(f"float overflow in the profile ODE at t={t}") from err
-        # a product overflows to inf without raising, and the estimate of a
-        # non-finite step would be NaN, which no limit rejects
-        if not all(map(math.isfinite, full + half)):
-            raise OverflowError(f"float overflow in the profile ODE at t={t}")
         estimate = max(abs(full[0] - half[0]), abs(full[1] - half[1])) / 15.0
         if estimate > STEP_ERROR_LIMIT:
             raise StepUnstable(f"local error estimate {estimate} at t={t}")
         y = full
         t += h
-        rows.append(_row(t, y[0], y[1], K))
-        if y[0] <= R_MIN:
-            halted = "r_min"
-            break
 
     return RotationalProfile(K=K, H_target=H, n=n, sig=sig, rows=rows, halted=halted)
 

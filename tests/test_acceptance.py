@@ -27,13 +27,12 @@ from folicurve.identity import (
     apply_rotational_constraint,
     bracket_cubic,
     jet_A,
-    jet_B,
     neg_nH_S3,
     s_squared_reduced,
     verify_squared_identity,
 )
 from folicurve.profiles import integrate_profile, validate_profile
-from folicurve.symexpr import KAP, KAP1, NU, RHO, RHO1, X, Indeterminate
+from folicurve.symexpr import KAP, KAP1, KAP2, NU, RHO, RHO1, RHO2, X, Indeterminate
 
 SEED = 20260808
 
@@ -71,7 +70,9 @@ def test_criterion_02_lorentzian_identity_exact():
 
 
 def test_criterion_03_divergence_display_term_for_term():
-    a, b = jet_A(X, KAP, KAP1, RHO, RHO1), jet_B()
+    # B is the display's notation, defined by d_dt(A) = -B
+    a = jet_A(X, KAP, KAP1, RHO, RHO1)
+    b = KAP1 ** 2 - (X - KAP) * KAP2 - RHO1 ** 2 - RHO * RHO2
     display = (
         2 * a ** 2 * X ** 2
         + (NU - 1) * KAP * RHO ** 2 * X ** 3
@@ -82,9 +83,9 @@ def test_criterion_03_divergence_display_term_for_term():
     )
     report(
         3,
-        "Riemannian divergence expansion equals the closed-form display after "
-        "canonicalization",
-        neg_nH_S3(RIEMANNIAN) == display,
+        "Riemannian divergence expansion equals the closed-form display, with "
+        "B = -d_dt(A), after canonicalization",
+        a.d_dt() == -b and neg_nH_S3(RIEMANNIAN) == display,
     )
 
 

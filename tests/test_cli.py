@@ -41,11 +41,6 @@ def no_run(monkeypatch):
         monkeypatch.setattr(module, name, started)
 
 
-def _perturbed_jet_B(monkeypatch):
-    jet_B = identity.jet_B
-    monkeypatch.setattr(identity, "jet_B", lambda: jet_B() + KAP)  # now d_dt(A) != -B
-
-
 def _perturbed_s_squared(monkeypatch):
     unreduced = identity.s_squared_unreduced
     monkeypatch.setattr(identity, "s_squared_unreduced",
@@ -80,14 +75,14 @@ class TestVerify:
         assert list(payload) == ["signature", "pass", "sign", "residual_text", "elapsed_ms"]
         assert payload["pass"] is True
 
+    # d_dt(KAP * RHO^2) has the odd coefficient 1, so its half leaves the integers
     @pytest.mark.parametrize("signature, perturb, messages", [
-        pytest.param("both", _perturbed_jet_B, ["d_dt(A) != -B, residual KAP"] * 2, id="both-2"),
-        pytest.param("lorentzian", _perturbed_jet_B, ["d_dt(A) != -B, residual KAP"],
-                     id="lorentzian-1"),
-        # d_dt(KAP * RHO^2) has the odd coefficient 1, so its half leaves the integers
         pytest.param("both", _perturbed_s_squared,
                      [f"a derivative of S^2 has an odd coefficient ({label})"
                       for label in ("riemannian", "lorentzian")], id="odd-half-both"),
+        pytest.param("lorentzian", _perturbed_s_squared,
+                     ["a derivative of S^2 has an odd coefficient (lorentzian)"],
+                     id="odd-half-lorentzian"),
     ])
     def test_failed_lemma_prints_its_line_and_no_report(self, signature, perturb, messages,
                                                           monkeypatch, capsys):
@@ -375,13 +370,18 @@ class TestBadInput:
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
-    # K far below r: hypot(K, r) rounds to r, so the rescanned leaf fails k > r
-    @pytest.mark.parametrize("extra", [[], ["--K", "1e-9", "--r0", "1"]],
-                             ids=["degenerate-normal", "invalid-sphere"])
-    def test_rescan_failure_is_validation_failure(self, extra, capsys):
+    # invalid-sphere: hypot(K, r) rounds to r from r = 2 up, where the float spacing
+    # doubles, but not just below; every row keeps k > r, while the interpolant's
+    # maximum between the first two rows, at t = 0.0005, crosses 2
+    @pytest.mark.parametrize("extra, message", [
+        ([], "validation failed: S^2 = "),
+        (["--K", "2.45e-8", "--r0", "1.9999999", "--r1", "1e-3", "--H", "-1", "--t", "0:0.002"],
+         "validation failed: need k > r > 0 at t=0.0005, "),
+    ], ids=["degenerate-normal", "invalid-sphere"])
+    def test_rescan_failure_is_validation_failure(self, extra, message, capsys):
         code, out, err = run(self.RESCAN + extra, capsys)
         assert code == 2
-        assert len(err.strip().splitlines()) == 1 and err.startswith("validation failed:")
+        assert len(err.strip().splitlines()) == 1 and err.startswith(message)
         assert json.loads(out, parse_constant=_no_constant)["validated"] is False
 
     def test_every_library_failure_is_value_or_arithmetic_error(self):
@@ -512,6 +512,13 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert err == f"integration rejected: K must be positive, got {float(K)}\n"
+
+    def test_center_too_far_below_the_radius_is_rejected(self, capsys):
+        # hypot(K, r) rounds to r: the first row's leaf would touch the boundary
+        code, out, err = run(["generate", "--n", "2", "--K", "1e-9", "--r0", "1",
+                              "--t", "0:0.002"], capsys)
+        assert (code, out) == (2, "")
+        assert err == "integration rejected: need k > r > 0 at t=0.0, got k=1.0, r=1.0\n"
 
     def test_radius_collapse_inside_a_step_halts_at_r_min(self, capsys):
         code, out, _ = run(["generate", "--n", "3", "--K", "1", "--r0", "1.5e-6", "--r1", "-1",

@@ -22,7 +22,6 @@ from folicurve.identity import (
     apply_rotational_constraint,
     bracket_cubic,
     jet_A,
-    jet_B,
     neg_nH_S3,
     rotational_ode_form,
     s_squared_reduced,
@@ -83,12 +82,16 @@ class TestNormSquared:
         assert s_squared_reduced(sig) == a ** 2 + sig.epsilon * X ** 2 * RHO ** 2
 
 
+# B, the paper's display notation for -d_dt(A); no product code builds from it
+JET_B = KAP1 ** 2 - (X - KAP) * KAP2 - RHO1 ** 2 - RHO * RHO2
+
+
 class TestDivergenceExpansion:
     def test_t_derivative_lemma(self):
-        assert jet_A(X, KAP, KAP1, RHO, RHO1).d_dt() == -jet_B()
+        assert jet_A(X, KAP, KAP1, RHO, RHO1).d_dt() == -JET_B
 
     def test_riemannian_matches_closed_form_display(self):
-        a, b = jet_A(X, KAP, KAP1, RHO, RHO1), jet_B()
+        a, b = jet_A(X, KAP, KAP1, RHO, RHO1), JET_B
         display = (
             2 * a ** 2 * X ** 2
             + (NU - 1) * KAP * RHO ** 2 * X ** 3
@@ -260,6 +263,31 @@ class TestExactBoundary:
                     for alias in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         assert "fractions" not in imported
+
+
+def _violation_sites() -> tuple[int, list[str], set[str]]:
+    """In identity.py: the number of IdentityViolation(...) calls, the function
+    that holds each one, and the functions that call `_prove`."""
+    tree = ast.parse((SRC / "identity.py").read_text())
+
+    def calls(scope, name: str) -> list:
+        return [node for node in ast.walk(scope)
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+
+    functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    return (len(calls(tree, "IdentityViolation")),
+            sorted(fn.name for fn in functions for _ in calls(fn, "IdentityViolation")),
+            {fn.name for fn in functions if calls(fn, "_prove")})
+
+
+class TestOneRaisePath:
+    def test_identity_violation_is_built_at_three_sites(self):
+        # every lemma is a (claim, residual) row of `_prove`; only the exact halving
+        # and the sign check, whose failure carries P^2 - Q^2, raise for themselves
+        count, sites, provers = _violation_sites()
+        assert count == 3
+        assert sites == ["_prove", "neg_nH_S3", "verify_squared_identity"]
+        assert provers == {"s_squared_reduced", "neg_nH_S3", "rotational_ode_form"}
 
 
 def _jet_arithmetic(module: str) -> list[str]:

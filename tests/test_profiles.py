@@ -206,6 +206,18 @@ class TestIntegration:
         with pytest.raises(OverflowError, match=r"^float overflow in the profile ODE at t=0\.0$"):
             integrate_profile(r0, r1, (0.0, 0.01), 1e-3, 1.0, H, 3, sig)
 
+    @pytest.mark.parametrize("r0, r1, K, message", [
+        (1.0, 0.0, 1e-9, "need k > r > 0 at t=0.0, got k=1.0, r=1.0"),
+        # just below r = 2, hypot(K, r) rounds up to the next float; from 2 on, where
+        # the float spacing doubles, it rounds to r itself, and the second row is past 2
+        (1.9999999, 1e-3, 2.45e-8, "need k > r > 0 at t=0.001, got k=2.0000019000017,"
+                                   " r=2.0000019000017"),
+    ], ids=["first-row", "second-row"])
+    def test_row_whose_center_rounds_to_its_radius_is_rejected(self, r0, r1, K, message):
+        with pytest.raises(InvalidSphere) as info:
+            integrate_profile(r0, r1, (0.0, 0.002), 1e-3, K, 0.0, 2, RIEMANNIAN)
+        assert str(info.value) == message
+
     def test_step_monitor_trips_near_blowup(self):
         with pytest.raises(StepUnstable):
             integrate_profile(1.0, 0.0, (0.0, 0.45), 1e-3, 1.0, 0.75, 2, RIEMANNIAN)
