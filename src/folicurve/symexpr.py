@@ -11,6 +11,15 @@ Every coefficient is a nonzero Python `int`; a float or a `Fraction` is a
 TypeError, so the ring never rounds.  Division by an integer is exact or raises
 ArithmeticError.
 
+A monomial is stored as one packed `int` key, sum(e_i * 2**(16 * i)) over the
+`Indeterminate` indices i: one 16-bit slot per indeterminate, each holding a
+balanced (signed) digit, so that multiplying monomials adds their keys and a
+derivative shifts one slot.  An exponent vector has one entry per
+`Indeterminate` (else ValueError), and an exponent must lie in [-2**14, 2**14);
+one that leaves it raises OverflowError and never carries into the next slot.
+Keys are decoded to exponent tuples only at the boundary: `terms()`, `to_text`,
+`indeterminates`, `__hash__` and the compiled kernel.
+
 All values are immutable; operations are pure and safe to share.
 """
 
@@ -42,7 +51,21 @@ class Indeterminate(enum.IntEnum):
 
 
 _N = len(Indeterminate)
-_ZERO_EXPS = (0,) * _N
+
+# The packed key.  In key + _OFFSET, an exponent e is the slot digit e + _BIAS,
+# in [0, 2 * _BIAS), so the slot's top bit is clear.  The sum of two valid keys
+# (a product) or a valid key moved by one in a slot (a derivative) has digits
+# in [-_BIAS, 3 * _BIAS): a digit outside [0, 2 * _BIAS) sets its slot's top
+# bit, by itself or by borrowing from the slot above, so (key + _OFFSET) &
+# _GUARD is nonzero exactly when some exponent is out of range.
+_SLOT = 16
+_MASK = (1 << _SLOT) - 1
+_BIAS = 1 << (_SLOT - 2)
+_SHIFTS = tuple(range(0, _SLOT * _N, _SLOT))
+_OFFSET = sum(_BIAS << shift for shift in _SHIFTS)
+_GUARD = _OFFSET << 1
+_UNIT = tuple(1 << shift for shift in _SHIFTS)
+_OUT_OF_RANGE = f"exponent outside [{-_BIAS}, {_BIAS - 1}]"
 
 # t-derivative chain; KAP2/RHO2 have no successor (JetOrderExceeded).
 _T_CHAIN = {
@@ -54,24 +77,54 @@ _T_CHAIN = {
 _T_BLOCKED = (Indeterminate.KAP2, Indeterminate.RHO2)
 
 
+def _encode(exps) -> int:
+    """The key of an exponent vector; ValueError for a wrong length, OverflowError
+    for an exponent out of range."""
+    exps = tuple(exps)
+    if len(exps) != _N:
+        raise ValueError(f"exponent vector has {len(exps)} entries, not {_N}")
+    if any(not -_BIAS <= e < _BIAS for e in exps):
+        raise OverflowError(_OUT_OF_RANGE)
+    return sum(e << shift for e, shift in zip(exps, _SHIFTS))
+
+
+def _decode(key: int) -> tuple:
+    biased = key + _OFFSET
+    return tuple(((biased >> shift) & _MASK) - _BIAS for shift in _SHIFTS)
+
+
+def _digit(key: int, ind: Indeterminate) -> int:
+    """The exponent of `ind` in the monomial `key`."""
+    return (((key + _OFFSET) >> _SHIFTS[ind]) & _MASK) - _BIAS
+
+
 def _coerce(value) -> "SymExpr":
     if isinstance(value, SymExpr):
         return value
     if isinstance(value, int):
-        return SymExpr({_ZERO_EXPS: value})
+        return SymExpr._make({0: operator.index(value)} if value else {})
     return NotImplemented
 
 
 def _canonical(raw: dict) -> dict:
-    """Drop the zero coefficients of an accumulated term map."""
-    return {exps: c for exps, c in raw.items() if c}
+    """Drop the zero coefficients of an accumulated term map, and raise
+    OverflowError if a kept key has an exponent out of range."""
+    terms = {}
+    for key, c in raw.items():
+        if c:
+            if (key + _OFFSET) & _GUARD:
+                raise OverflowError(_OUT_OF_RANGE)
+            terms[key] = c
+    return terms
 
 
 class SymExpr:
     """A finite map from exponent vectors to nonzero integer coefficients.
 
     Structural equality of the canonical term map is mathematical equality;
-    zero is the empty map.
+    zero is the empty map.  `_terms` maps each monomial's packed key (see the
+    module docstring) to its coefficient; the constructor and `terms()` speak
+    exponent tuples of length `len(Indeterminate)`, in the same insertion order.
     """
 
     # _kernel: the compiled float evaluator, filled by the first eval_numeric.
@@ -81,9 +134,10 @@ class SymExpr:
         pruned = {}
         if terms:
             for exps, coeff in terms.items():
+                key = _encode(exps)
                 coeff = operator.index(coeff)  # a float or a Fraction is a TypeError
                 if coeff:
-                    pruned[tuple(exps)] = coeff
+                    pruned[key] = coeff
         self._terms = pruned
 
     @classmethod
@@ -110,27 +164,27 @@ class SymExpr:
 
     def __hash__(self) -> int:
         # a constant equals its number (see __eq__), so it hashes like it
-        if not self._terms.keys() - {_ZERO_EXPS}:
-            return hash(self._terms.get(_ZERO_EXPS, 0))
-        return hash(frozenset(self._terms.items()))
+        if not self._terms.keys() - {0}:
+            return hash(self._terms.get(0, 0))
+        return hash(frozenset(self.terms()))
 
     def __add__(self, other) -> "SymExpr":
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            acc = out.get(exps, 0) + coeff
+        for key, coeff in other._terms.items():
+            acc = out.get(key, 0) + coeff
             if acc:
-                out[exps] = acc
+                out[key] = acc
             else:
-                out.pop(exps, None)
+                out.pop(key, None)
         return SymExpr._make(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SymExpr":
-        return SymExpr._make({exps: -c for exps, c in self._terms.items()})
+        return SymExpr._make({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other) -> "SymExpr":
         other = _coerce(other)
@@ -147,11 +201,11 @@ class SymExpr:
             return NotImplemented
         out: dict = {}
         get = out.get
-        add = operator.add
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                exps = tuple(map(add, ea, eb))
-                out[exps] = get(exps, 0) + ca * cb
+        right = other._terms.items()
+        for ka, ca in self._terms.items():
+            for kb, cb in right:
+                key = ka + kb
+                out[key] = get(key, 0) + ca * cb
         return SymExpr._make(_canonical(out))
 
     __rmul__ = __mul__
@@ -165,7 +219,7 @@ class SymExpr:
             raise ZeroDivisionError("SymExpr division by zero")
         if any(c % divisor for c in self._terms.values()):
             raise ArithmeticError(f"{divisor} does not divide every coefficient")
-        return SymExpr._make({exps: c // divisor for exps, c in self._terms.items()})
+        return SymExpr._make({key: c // divisor for key, c in self._terms.items()})
 
     def __pow__(self, power: int) -> "SymExpr":
         if not isinstance(power, int) or power < 0:
@@ -185,13 +239,12 @@ class SymExpr:
     def d_dX(self) -> "SymExpr":
         """Formal partial derivative in X; every other indeterminate is constant."""
         out: dict = {}
-        for exps, coeff in self._terms.items():
-            e = exps[Indeterminate.X]
+        unit = _UNIT[Indeterminate.X]
+        for key, coeff in self._terms.items():
+            e = _digit(key, Indeterminate.X)
             if e == 0:
                 continue
-            new = list(exps)
-            new[Indeterminate.X] = e - 1
-            key = tuple(new)
+            key -= unit
             out[key] = out.get(key, 0) + coeff * e
         return SymExpr._make(_canonical(out))
 
@@ -202,21 +255,18 @@ class SymExpr:
         contains KAP2 or RHO2 (their derivatives are third-order jets).
         """
         out: dict = {}
-        for exps, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             for blocked in _T_BLOCKED:
-                if exps[blocked]:
+                if _digit(key, blocked):
                     raise JetOrderExceeded(
                         f"d_dt would need the derivative of {blocked.name}"
                     )
             for ind, succ in _T_CHAIN.items():
-                e = exps[ind]
+                e = _digit(key, ind)
                 if not e:
                     continue
-                new = list(exps)
-                new[ind] = e - 1
-                new[succ] += 1
-                key = tuple(new)
-                out[key] = out.get(key, 0) + coeff * e
+                new = key - _UNIT[ind] + _UNIT[succ]
+                out[new] = out.get(new, 0) + coeff * e
         return SymExpr._make(_canonical(out))
 
     # -- substitution and extraction ----------------------------------------
@@ -227,18 +277,16 @@ class SymExpr:
         powers: dict[int, SymExpr] = {0: ONE}
         out: dict = {}
         get = out.get
-        add = operator.add
-        for exps, coeff in self._terms.items():
-            e = exps[ind]
+        for key, coeff in self._terms.items():
+            e = _digit(key, ind)
             if e < 0:
                 raise ValueError(f"cannot substitute into negative power of {ind.name}")
             if e not in powers:
                 powers[e] = replacement ** e
-            rest = list(exps)
-            rest[ind] = 0
-            for ep, cp in powers[e]._terms.items():
-                key = tuple(map(add, rest, ep))
-                out[key] = get(key, 0) + coeff * cp
+            rest = key - e * _UNIT[ind]
+            for kp, cp in powers[e]._terms.items():
+                new = rest + kp
+                out[new] = get(new, 0) + coeff * cp
         return SymExpr._make(_canonical(out))
 
     def reduce_level_set(self) -> "SymExpr":
@@ -247,21 +295,20 @@ class SymExpr:
 
     def coeff_of(self, ind: Indeterminate, degree: int) -> "SymExpr":
         out: dict = {}
-        for exps, coeff in self._terms.items():
-            if exps[ind] != degree:
-                continue
-            new = list(exps)
-            new[ind] = 0
-            out[tuple(new)] = coeff
+        shift = degree * _UNIT[ind]
+        for key, coeff in self._terms.items():
+            if _digit(key, ind) == degree:
+                out[key - shift] = coeff
         return SymExpr._make(out)
 
     def indeterminates(self) -> set[Indeterminate]:
         # one exponent column per indeterminate, in index order
-        return {ind for ind, column in zip(Indeterminate, zip(*self._terms)) if any(column)}
+        columns = zip(*map(_decode, self._terms))
+        return {ind for ind, column in zip(Indeterminate, columns) if any(column)}
 
     def terms(self) -> Iterator[tuple[tuple, int]]:
         """(exponent vector, coefficient) pairs, in insertion order."""
-        return iter(self._terms.items())
+        return ((_decode(key), coeff) for key, coeff in self._terms.items())
 
 
     # -- numeric evaluation --------------------------------------------------
@@ -310,7 +357,7 @@ class SymExpr:
         used = sorted(self.indeterminates())
         names = {ind: ind.name.lower() for ind in used}
         lines = [f"    {names[ind]} = b[{int(ind)}]" for ind in used]
-        if any(exps[Indeterminate.X] < 0 for exps in self._terms):
+        if any(_digit(key, Indeterminate.X) < 0 for key in self._terms):
             lines.append('    if x <= 0: raise ValueError("X binding must be positive for Laurent terms")')
         hoisted: set[str] = set()
 
@@ -321,7 +368,7 @@ class SymExpr:
             return name
 
         products = []
-        for exps, coeff in self._terms.items():
+        for exps, coeff in self.terms():
             factors = []
             for ind in used:
                 e = exps[ind]
@@ -377,11 +424,10 @@ class SymExpr:
         """Deterministic, sorted plain-text polynomial (graded-lex, descending)."""
         if not self._terms:
             return "0"
-        def key(exps):
-            return (sum(exps), exps)
+        def key(term):
+            return (sum(term[0]), term[0])
         parts = []
-        for exps in sorted(self._terms, key=key, reverse=True):
-            coeff = self._terms[exps]
+        for exps, coeff in sorted(self.terms(), key=key, reverse=True):
             factors = []
             for ind in Indeterminate:
                 e = exps[ind]
@@ -411,19 +457,17 @@ class SymExpr:
 
 
 def x_pow(exponent: int) -> SymExpr:
-    """X^exponent for any integer exponent (the one Laurent direction)."""
+    """X^exponent for any integer exponent in range (the one Laurent direction)."""
     vec = [0] * _N
     vec[Indeterminate.X] = exponent
-    return SymExpr._make({tuple(vec): 1})
+    return SymExpr._make({_encode(vec): 1})
 
 
 def _gen(ind: Indeterminate) -> SymExpr:
-    vec = [0] * _N
-    vec[ind] = 1
-    return SymExpr._make({tuple(vec): 1})
+    return SymExpr._make({_UNIT[ind]: 1})
 
 
-ONE = SymExpr._make({_ZERO_EXPS: 1})
+ONE = SymExpr._make({0: 1})
 
 X = _gen(Indeterminate.X)
 KAP = _gen(Indeterminate.KAP)

@@ -40,7 +40,7 @@ def reference_compile_kernel(self):
     used = sorted(self.indeterminates())
     names = {ind: ind.name.lower() for ind in used}
     lines = [f"    {names[ind]} = b[{int(ind)}]" for ind in used]
-    if any(exps[Indeterminate.X] < 0 for exps in self._terms):
+    if any(exps[Indeterminate.X] < 0 for exps, _ in self.terms()):
         lines.append('    if x <= 0: raise ValueError("X binding must be positive for Laurent terms")')
     hoisted: set[str] = set()
 
@@ -51,7 +51,7 @@ def reference_compile_kernel(self):
         return name
 
     summands = ["0.0"]
-    for exps, coeff in self._terms.items():
+    for exps, coeff in self.terms():
         factors = []
         for ind in used:
             e = exps[ind]

@@ -179,13 +179,14 @@ def _rotational_reference(p: SymExpr) -> SymExpr:
             return current
 
 
-# exponent vectors over X (Laurent), KAP, KAP1, KAP2, RHO, RHO1, RHO2 and NU; SIG stays 0
-rotational_exps = st.tuples(
-    st.integers(min_value=-2, max_value=3),
-    *[st.integers(min_value=0, max_value=3)] * 6,
-    st.just(0),
-    st.integers(min_value=0, max_value=2),
-)
+# one exponent per Indeterminate: X Laurent in [-2, 3], NU in [0, 2], SIG 0, the others in [0, 3]
+rotational_exps = st.tuples(*(
+    st.integers(min_value=-2, max_value=3) if ind is Indeterminate.X
+    else st.just(0) if ind is Indeterminate.SIG
+    else st.integers(min_value=0, max_value=2) if ind is Indeterminate.NU
+    else st.integers(min_value=0, max_value=3)
+    for ind in Indeterminate
+))
 rotational_polys = st.dictionaries(
     rotational_exps,
     (st.integers(min_value=-9, max_value=9) | st.integers(min_value=-2 ** 70, max_value=2 ** 70))

@@ -1,6 +1,7 @@
 """Exact-arithmetic kernel: ring axioms, calculus rules, level-set reduction."""
 
 import math
+import operator
 import struct
 from fractions import Fraction
 
@@ -33,18 +34,14 @@ coeffs = st.integers(min_value=-4, max_value=4) | st.integers(min_value=-2 ** 70
 
 
 def exponents(with_second_jets: bool = True) -> st.SearchStrategy:
+    """One exponent per `Indeterminate`: X Laurent in [-2, 3], the others in [0, 2]
+    unless listed in `highest`."""
     jet_max = 2 if with_second_jets else 0
-    return st.tuples(
-        st.integers(min_value=-2, max_value=3),   # X, Laurent
-        st.integers(min_value=0, max_value=2),    # KAP
-        st.integers(min_value=0, max_value=2),    # KAP1
-        st.integers(min_value=0, max_value=jet_max),  # KAP2
-        st.integers(min_value=0, max_value=2),    # RHO
-        st.integers(min_value=0, max_value=2),    # RHO1
-        st.integers(min_value=0, max_value=jet_max),  # RHO2
-        st.integers(min_value=0, max_value=1),    # SIG
-        st.integers(min_value=0, max_value=1),    # NU
-    )
+    highest = {Indeterminate.X: 3, Indeterminate.KAP2: jet_max, Indeterminate.RHO2: jet_max,
+               Indeterminate.SIG: 1, Indeterminate.NU: 1}
+    return st.tuples(*(st.integers(min_value=-2 if ind is Indeterminate.X else 0,
+                                   max_value=highest.get(ind, 2))
+                       for ind in Indeterminate))
 
 
 def sym_exprs(with_second_jets: bool = True, coefficients=coeffs) -> st.SearchStrategy:
@@ -128,6 +125,7 @@ class TestRingOperations:
         rebuilt = SymExpr(dict(a.terms()))
         assert rebuilt == a
         assert hash(rebuilt) == hash(a)
+        assert list(rebuilt.terms()) == list(a.terms())
 
 
 class TestDerivatives:
@@ -571,3 +569,87 @@ class TestTextForm:
     @settings(max_examples=40)
     def test_deterministic(self, a):
         assert a.to_text() == SymExpr(dict(a.terms())).to_text()
+
+
+def reference_mul(self, other) -> dict:
+    """The product over tuple keys that packed keys replaced, kept verbatim as
+    the reference, except that it reads `terms()` and inlines the `_canonical`
+    it called."""
+    out: dict = {}
+    get = out.get
+    add = operator.add
+    for ea, ca in self.terms():
+        for eb, cb in other.terms():
+            exps = tuple(map(add, ea, eb))
+            out[exps] = get(exps, 0) + ca * cb
+    return {exps: c for exps, c in out.items() if c}
+
+
+# the exponent range of the module docstring: [-2**14, 2**14)
+LIMIT = 2 ** 14
+
+
+def monomial(**exps: int) -> tuple:
+    """An exponent vector, zero except where named."""
+    return tuple(exps.get(ind.name, 0) for ind in Indeterminate)
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("exps", [(1, 2), CONSTANT + (0,), ()], ids=["short", "long", "empty"])
+    def test_wrong_width_is_a_value_error(self, exps):
+        message = rf"^exponent vector has {len(exps)} entries, not {len(Indeterminate)}$"
+        with pytest.raises(ValueError, match=message):
+            SymExpr({exps: 3})
+        with pytest.raises(ValueError, match=message):
+            SymExpr({exps: 0})
+
+    @given(sym_exprs(), sym_exprs())
+    @settings(max_examples=150)
+    def test_product_keeps_the_tuple_order(self, a, b):
+        assert list((a * b).terms()) == list(reference_mul(a, b).items())
+
+    @pytest.mark.parametrize("name", sorted(VERIFIED))
+    def test_verified_squares_keep_the_tuple_order(self, name):
+        p = VERIFIED[name]
+        assert list((p * p).terms()) == list(reference_mul(p, p).items())
+
+    def test_edges_of_the_range_round_trip(self):
+        for ind in Indeterminate:
+            for e in (-LIMIT, LIMIT - 1):
+                exps = monomial(**{ind.name: e})
+                assert list(SymExpr({exps: -5}).terms()) == [(exps, -5)]
+        assert list((x_pow(-LIMIT) * KAP).terms()) == [(monomial(X=-LIMIT, KAP=1), 1)]
+        assert list((x_pow(LIMIT - 2) * X).terms()) == [(monomial(X=LIMIT - 1), 1)]
+        assert list((NU ** (LIMIT - 1)).terms()) == [(monomial(NU=LIMIT - 1), 1)]
+
+    @pytest.mark.parametrize("ind", list(Indeterminate), ids=lambda ind: ind.name)
+    @pytest.mark.parametrize("e", [LIMIT, -LIMIT - 1, 2 ** 70], ids=["above", "below", "huge"])
+    def test_constructor_rejects_an_exponent_out_of_range(self, ind, e):
+        with pytest.raises(OverflowError, match=rf"^exponent outside \[{-LIMIT}, {LIMIT - 1}\]$"):
+            SymExpr({monomial(**{ind.name: e}): 1})
+
+    @pytest.mark.parametrize("build", [
+        lambda: x_pow(LIMIT),
+        lambda: x_pow(-LIMIT - 1),
+        lambda: x_pow(LIMIT - 1) * X,
+        lambda: x_pow(-LIMIT) * x_pow(-1),
+        lambda: (x_pow(-LIMIT) * KAP) * x_pow(-1),
+        lambda: (x_pow(-LIMIT) * KAP * NU ** 3) * (x_pow(-1) * RHO),
+        lambda: KAP ** (LIMIT - 1) * KAP,
+        lambda: NU ** (LIMIT - 1) * NU,
+        lambda: (X * NU ** 2) ** (LIMIT // 2),
+        lambda: x_pow(-2) ** (LIMIT // 2 + 1),
+        lambda: (KAP * KAP1 ** (LIMIT - 1)).d_dt(),
+        lambda: (RHO * RHO1 ** (LIMIT - 1)).d_dt(),
+        lambda: x_pow(-LIMIT).d_dX(),
+        lambda: (x_pow(-LIMIT) * KAP).d_dX(),
+        lambda: (SIG ** (LIMIT // 2)).substitute(Indeterminate.SIG, X * X),
+        lambda: (x_pow(-LIMIT) * SIG).substitute(Indeterminate.SIG, x_pow(-1)),
+        lambda: (KAP * SIG).substitute(Indeterminate.SIG, x_pow(-LIMIT) * KAP ** (LIMIT - 1)),
+    ], ids=["x_pow-above", "x_pow-below", "mul-above", "mul-below", "mul-below-under-KAP",
+            "mul-below-under-NU", "mul-KAP", "mul-NU", "pow-above", "pow-below",
+            "d_dt-KAP1", "d_dt-RHO1", "d_dX", "d_dX-under-KAP", "substitute-above",
+            "substitute-below", "substitute-KAP"])
+    def test_an_exponent_leaving_the_range_overflows(self, build):
+        with pytest.raises(OverflowError, match=rf"^exponent outside \[{-LIMIT}, {LIMIT - 1}\]$"):
+            build()
