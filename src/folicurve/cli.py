@@ -207,9 +207,9 @@ def cmd_generate(args: types.SimpleNamespace) -> int:
         print("OFF export is defined for n = 2 only", file=sys.stderr)
         return EXIT_INPUT
     steps = abs(t1 - t0) / step
-    if _too_many("generate", rows=steps + 1):
+    rows = math.ceil(steps) + 1 if math.isfinite(steps) else steps
+    if _too_many("generate", rows=rows):
         return EXIT_INPUT
-    rows = math.ceil(steps) + 1
     if (args.validate and _too_many("generate --validate", leaves=max(args.samples, rows),
                                     points=geometry.POINTS_PER_LEAF)
             or args.off and _too_many("generate --off", rows=rows, segments=args.off_segments)):

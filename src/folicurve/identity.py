@@ -13,10 +13,13 @@ degree-0 coefficient forces  n^2 H^2 (r r' - k k')^6 = 0  and the degree-2
 coefficient forces  k (n-2) (r r' - k k')^2 = 0.  When neither sign holds, the
 IdentityViolation carries the residual P^2 - Q^2.
 
-It holds every exact lemma, including those of the rotational ODE form, and the
-`verify --mutate` hook; no other module raises IdentityViolation.  It also holds
-every float formula on a profile's jet that `geometry` and `profiles` evaluate:
-each is a plain function of its inputs, proved here on the ring's generators.
+It holds every exact lemma and the `verify --mutate` hook; no other module
+raises IdentityViolation.  The lemmas of the rotational ODE form are membership
+claims in the ideal of the constraint g = k k' - r r' and its t-derivative g':
+each is proved by explicit cofactors of g and g', checked by ring equality.
+It also holds every float formula on a profile's jet that `geometry` and
+`profiles` evaluate: each is a plain function of its inputs, proved here on
+the ring's generators.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .symexpr import (
     KAP1,
     KAP2,
     NU,
-    ONE,
     RHO,
     RHO1,
     RHO2,
@@ -97,12 +99,12 @@ def admissibility_factor(eps, r, k1):
 
 
 def k_times_k1(r, r1):
-    """k k' = r r', the rotational constraint (the KAP1 rule)."""
+    """k k' = r r', the rotational constraint: g = k k' - r r' generates its ideal."""
     return r * r1
 
 
 def k_times_k2(r, r1, r2, k1):
-    """k k'' = r'^2 + r r'' - k'^2, its t-derivative (the KAP2 rule)."""
+    """k k'' = r'^2 + r r'' - k'^2, its t-derivative: the ideal's second generator g'."""
     return r1 * r1 + r * r2 - k1 * k1
 
 
@@ -241,46 +243,21 @@ def verify_squared_identity(
     raise IdentityViolation(f"{sig.label} identity violated", (p * p - q * q).to_text())
 
 
-def apply_rotational_constraint(p: SymExpr) -> SymExpr:
-    """Rewrite modulo k k' = r r' and its t-derivative k k'' = r'^2 + r r'' - k'^2.
-
-    Each pass replaces one KAP*KAP2 (else KAP*KAP1) pair per monomial, until a
-    pass rewrites nothing; 0 then certifies membership in the constraint ideal.
-    """
-    rules = ((Indeterminate.KAP2, k_times_k2(RHO, RHO1, RHO2, KAP1)),
-             (Indeterminate.KAP1, k_times_k1(RHO, RHO1)))
-    changed = True
-    while changed:
-        changed, out = False, {}
-        for exps, coeff in p.terms():
-            base, rule = list(exps), ONE  # a monomial no rule rewrites is kept
-            for ind, candidate in rules if exps[Indeterminate.KAP] else ():
-                if exps[ind]:
-                    base[Indeterminate.KAP] -= 1
-                    base[ind] -= 1
-                    rule, changed = candidate, True
-                    break
-            for rule_exps, rule_coeff in rule.terms():
-                key = tuple(b + e for b, e in zip(base, rule_exps))
-                out[key] = out.get(key, 0) + coeff * rule_coeff
-        p = SymExpr(out)
-    return p
-
-
 @lru_cache(maxsize=None)
 def rotational_ode_form(sig: GeometrySignature) -> tuple[SymExpr, SymExpr, int]:
     """(lead, rest, -s): c3 = lead k'' + rest and the branch of -s n H F^{3/2} = c3
-    for a rotational profile.  Proves c2 = 0, S^2 = X^2 F (F the
-    `admissibility_factor`) and `r_times_r2` modulo k k' = r r' first, then
-    P = s Q."""
+    for a rotational profile.  First proves that c2, S^2 - X^2 F (F the
+    `admissibility_factor`) and r r'' - `r_times_r2` lie in the ideal of g and g':
+    each equals its stated combination of g and g' in the ring.  Then P = s Q."""
     cubic = bracket_cubic(sig)
+    g = KAP * KAP1 - k_times_k1(RHO, RHO1)
+    dg = KAP * KAP2 - k_times_k2(RHO, RHO1, RHO2, KAP1)
     _prove(sig, ("c2 does not vanish under the rotational constraint",
-                 lambda: apply_rotational_constraint(cubic.c2)),
+                 lambda: cubic.c2 - (RHO ** 2 * dg - 2 * (RHO * RHO1 + (NU - 2) * KAP * KAP1) * g)),
            ("S^2 is not X^2 F under the rotational constraint",
-            lambda: apply_rotational_constraint(s_squared_reduced(sig))
-            - X ** 2 * admissibility_factor(sig.epsilon, RHO, KAP1)),
+            lambda: s_squared_reduced(sig) - X ** 2 * admissibility_factor(sig.epsilon, RHO, KAP1)
+            - g * (g - 2 * X * KAP1)),
            ("r r'' is not k k'' + k'^2 - r'^2 under the rotational constraint",
-            lambda: apply_rotational_constraint(RHO * RHO2 - r_times_r2(KAP, KAP1, KAP2, RHO1))))
+            lambda: RHO * RHO2 - r_times_r2(KAP, KAP1, KAP2, RHO1) + dg))
     branch = -verify_squared_identity(sig)
     return cubic.c3.coeff_of(Indeterminate.KAP2, 1), cubic.c3.coeff_of(Indeterminate.KAP2, 0), branch
-

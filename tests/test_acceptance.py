@@ -24,7 +24,6 @@ from folicurve.exprlang import ProfileFunctions
 from folicurve.identity import (
     LORENTZIAN,
     RIEMANNIAN,
-    apply_rotational_constraint,
     bracket_cubic,
     jet_A,
     neg_nH_S3,
@@ -265,9 +264,12 @@ def test_criterion_09_center_conversions():
 
 
 def test_criterion_10_c2_vanishing_lemma():
+    # the certificate: c2 in the ideal of g = k k' - r r' and its t-derivative g'
+    g = KAP * KAP1 - RHO * RHO1
+    certificate = RHO ** 2 * g.d_dt() - 2 * (RHO * RHO1 + (NU - 2) * KAP * KAP1) * g
     ok = True
     for sig in (RIEMANNIAN, LORENTZIAN):
-        ok &= apply_rotational_constraint(bracket_cubic(sig).c2).is_zero
+        ok &= bracket_cubic(sig).c2 == certificate
     report(
         10,
         "c2 vanishes exactly under k k' = r r' and its t-derivative, both signatures",

@@ -462,6 +462,15 @@ class TestBadInput:
         assert len(err.strip().splitlines()) == 1
         assert f"over the cap of {cli.MAX_ROWS} rows" in err
 
+    @pytest.mark.parametrize("t_range, count", [("0:2.5:2e-6", "1250001"),
+                                                ("0:1:0.9999999e-6", "1000002"),
+                                                ("0:1:5e-324", "inf")])
+    def test_row_cap_names_the_row_count(self, t_range, count, no_run, capsys):
+        # the rows integrate_profile would store, as an integer while that count is finite
+        code, out, err = run(["generate", "--n", "3", "--K", "1", "--t", t_range], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"generate asks for {count} rows: over the cap of 1000000 rows\n"
+
     @pytest.mark.parametrize("t_value", [5, 0.5, ["0:1"], {"a": 1}])
     def test_non_string_t_in_config(self, t_value, tmp_path, capsys):
         config = tmp_path / "scan.json"

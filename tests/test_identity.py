@@ -19,7 +19,6 @@ from folicurve.identity import (
     IdentityViolation,
     LORENTZIAN,
     RIEMANNIAN,
-    apply_rotational_constraint,
     bracket_cubic,
     jet_A,
     neg_nH_S3,
@@ -149,72 +148,6 @@ class TestBracketCubic:
         assert c1.substitute(Indeterminate.NU, 2).is_zero
 
 
-def _rotational_reference(p: SymExpr) -> SymExpr:
-    """The rotational reduction as first written: one SymExpr per term, added
-    one at a time; the reference of `apply_rotational_constraint`."""
-    second = RHO1 ** 2 + RHO * RHO2 - KAP1 ** 2
-    first = RHO * RHO1
-    current = p
-    while True:
-        out = SymExpr()
-        changed = False
-        for exps, coeff in current.terms():
-            e_k = exps[Indeterminate.KAP]
-            e_k1 = exps[Indeterminate.KAP1]
-            e_k2 = exps[Indeterminate.KAP2]
-            if e_k >= 1 and e_k2 >= 1:
-                rule, i_other = second, Indeterminate.KAP2
-            elif e_k >= 1 and e_k1 >= 1:
-                rule, i_other = first, Indeterminate.KAP1
-            else:
-                out = out + SymExpr({tuple(exps): coeff})
-                continue
-            reduced = list(exps)
-            reduced[Indeterminate.KAP] -= 1
-            reduced[i_other] -= 1
-            out = out + SymExpr({tuple(reduced): coeff}) * rule
-            changed = True
-        current = out
-        if not changed:
-            return current
-
-
-# one exponent per Indeterminate: X Laurent in [-2, 3], NU in [0, 2], SIG 0, the others in [0, 3]
-rotational_exps = st.tuples(*(
-    st.integers(min_value=-2, max_value=3) if ind is Indeterminate.X
-    else st.just(0) if ind is Indeterminate.SIG
-    else st.integers(min_value=0, max_value=2) if ind is Indeterminate.NU
-    else st.integers(min_value=0, max_value=3)
-    for ind in Indeterminate
-))
-rotational_polys = st.dictionaries(
-    rotational_exps,
-    (st.integers(min_value=-9, max_value=9) | st.integers(min_value=-2 ** 70, max_value=2 ** 70))
-    .filter(bool),
-    max_size=8,
-).map(SymExpr)
-
-
-class TestRotationalConstraint:
-    @given(rotational_polys)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_reference(self, p):
-        assert apply_rotational_constraint(p) == _rotational_reference(p)
-
-    @pytest.mark.parametrize("sig", BOTH, ids=lambda sig: sig.label)
-    @pytest.mark.parametrize("name", ["c1", "c2", "c3", "s_squared"])
-    def test_matches_reference_on_verified_objects(self, sig, name):
-        cubic = bracket_cubic(sig)
-        p = s_squared_reduced(sig) if name == "s_squared" else getattr(cubic, name)
-        assert apply_rotational_constraint(p) == _rotational_reference(p)
-
-    def test_rules_are_tried_second_derivative_first(self):
-        # k k' k'': the KAP*KAP2 rule takes the one k, so k' stays
-        p = KAP * KAP1 * KAP2
-        expected = KAP1 * (RHO1 ** 2 + RHO * RHO2 - KAP1 ** 2)
-        assert apply_rotational_constraint(p) == expected == _rotational_reference(p)
-
-
 SRC = pathlib.Path(identity.__file__).parent
 
 
@@ -264,6 +197,22 @@ class TestExactBoundary:
                     for alias in node.names}
         imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
         assert "fractions" not in imported
+
+    def test_only_symexpr_reads_or_builds_monomials(self):
+        # the packed monomial key is symexpr's own format: product code combines
+        # polynomials by ring operations, never term by term
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            if path.name == "symexpr.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                builds = name == "_make" or name == "SymExpr" and (node.args or node.keywords)
+                if name == "terms" or builds:
+                    found.append(f"{path.name}:{node.lineno}")
+        assert found == []
 
 
 def _violation_sites() -> tuple[int, list[str], set[str]]:

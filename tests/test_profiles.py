@@ -11,8 +11,7 @@ import hypothesis.strategies as st
 
 from folicurve import identity, profiles
 from folicurve.geometry import constancy_scan
-from folicurve.identity import (LORENTZIAN, RIEMANNIAN, IdentityViolation,
-                                apply_rotational_constraint, bracket_cubic,
+from folicurve.identity import (LORENTZIAN, RIEMANNIAN, IdentityViolation, bracket_cubic,
                                 rotational_ode_form, s_squared_reduced, verify_squared_identity)
 from folicurve.profiles import (
     DegenerateNormal,
@@ -26,7 +25,7 @@ from folicurve.profiles import (
     integrate_profile,
     validate_profile,
 )
-from folicurve.symexpr import KAP, RHO, Indeterminate
+from folicurve.symexpr import KAP, KAP1, NU, RHO, RHO1, Indeterminate
 
 BOTH = (RIEMANNIAN, LORENTZIAN)
 
@@ -42,18 +41,34 @@ def cylinder(n: int = 3, R: float = 1.0, K: float = 1.0) -> RotationalProfile:
     return RotationalProfile(K=K, H_target=h_target, n=n, sig=RIEMANNIAN, rows=rows)
 
 
+# the rotational constraint k k' = r r' and its t-derivative generate the ideal
+G = KAP * KAP1 - RHO * RHO1
+DG = G.d_dt()
+
+
 class TestRotationalConstraintLemma:
     @pytest.mark.parametrize("sig", BOTH)
     def test_c2_vanishes(self, sig):
-        assert apply_rotational_constraint(bracket_cubic(sig).c2).is_zero
+        assert bracket_cubic(sig).c2 == RHO ** 2 * DG - 2 * (RHO * RHO1 + (NU - 2) * KAP * KAP1) * G
 
     @pytest.mark.parametrize("sig", BOTH)
     def test_c1_vanishes(self, sig):
-        assert apply_rotational_constraint(bracket_cubic(sig).c1).is_zero
+        assert bracket_cubic(sig).c1 == KAP * (NU - 2) * G ** 2
 
     @pytest.mark.parametrize("sig", BOTH)
     def test_c3_does_not_vanish(self, sig):
-        assert not apply_rotational_constraint(bracket_cubic(sig).c3).is_zero
+        # every member of the ideal vanishes where G = DG = 0; c3 = 3 + 2 eps does not
+        point = {Indeterminate.X: 1, Indeterminate.KAP: 1, Indeterminate.KAP1: 1,
+                 Indeterminate.RHO: 1, Indeterminate.RHO1: 1, Indeterminate.KAP2: 0,
+                 Indeterminate.RHO2: 0, Indeterminate.NU: 3}
+
+        def at_point(p):
+            for ind, value in point.items():
+                p = p.substitute(ind, value)
+            return p
+
+        assert at_point(G).is_zero and at_point(DG).is_zero
+        assert at_point(bracket_cubic(sig).c3) == 3 + 2 * sig.epsilon
 
     @pytest.mark.parametrize("sig", BOTH)
     def test_failed_lemma_is_identity_violation(self, sig, monkeypatch):
