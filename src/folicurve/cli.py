@@ -138,10 +138,9 @@ def cmd_verify(args: types.SimpleNamespace) -> int:
     reports = []
     status = EXIT_OK
     for sig in sigs:
-        bracket = identity.mutated_bracket(sig, args.mutate) if args.mutate else None
         start = time.perf_counter()
         try:
-            sign, residual = identity.verify_squared_identity(sig, bracket=bracket), "0"
+            sign, residual = identity.verify_squared_identity(sig), "0"
         except IdentityViolation as violation:
             status = EXIT_IDENTITY
             if violation.residual is None:
@@ -289,8 +288,6 @@ def _commands() -> dict[str, tuple]:
         "verify": ("verify the squared curvature identities", cmd_verify, (
             ("signature", _choice("riemannian", "lorentzian", "both"), "both",
              "riemannian, lorentzian or both (default)"),
-            ("mutate", _choice("c1", "c2", "c3"), None,
-             "fault-injection hook: perturb a bracket coefficient (c1, c2 or c3)"),
         )),
         "scan": ("scan mean curvature over a foliated profile", cmd_scan, (
             ("k", _text, REQUIRED, "center expression k(t)"),

@@ -13,10 +13,10 @@ degree-0 coefficient forces  n^2 H^2 (r r' - k k')^6 = 0  and the degree-2
 coefficient forces  k (n-2) (r r' - k k')^2 = 0.  When neither sign holds, the
 IdentityViolation carries the residual P^2 - Q^2.
 
-It holds every exact lemma and the `verify --mutate` hook; no other module
-raises IdentityViolation.  The lemmas of the rotational ODE form are membership
-claims in the ideal of the constraint g = k k' - r r' and its t-derivative g':
-each is proved by explicit cofactors of g and g', checked by ring equality.
+It holds every exact lemma; no other module raises IdentityViolation.  The
+lemmas of the rotational ODE form are membership claims in the ideal of the
+constraint g = k k' - r r' and its t-derivative g': each is proved by
+explicit cofactors of g and g', checked by ring equality.
 It also holds every float formula on a profile's jet that `geometry` and
 `profiles` evaluate: each is a plain function of its inputs, proved here on
 the ring's generators.
@@ -25,7 +25,7 @@ the ring's generators.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .symexpr import (
@@ -218,24 +218,16 @@ def bracket_cubic(sig: GeometrySignature) -> CubicCoefficients:
     return CubicCoefficients(c3=c3, c2=c2, c1=c1)
 
 
-def mutated_bracket(sig: GeometrySignature, which: str) -> CubicCoefficients:
-    """`verify --mutate`'s fault injection: bracket coefficient `which` minus KAP*RHO^2."""
-    cubic = bracket_cubic(sig)
-    return replace(cubic, **{which: getattr(cubic, which) - KAP * RHO ** 2})
-
-
-def verify_squared_identity(
-    sig: GeometrySignature, bracket: CubicCoefficients | None = None
-) -> int:
+def verify_squared_identity(sig: GeometrySignature) -> int:
     """Prove P = s*Q exactly for one global sign s = +-1, P the divergence
     expansion, Q the cubic; this gives P^2 = Q^2.
 
     Returns s (orientation N = -grad f/|grad f| only fixes it implicitly).  If
-    neither sign matches, e.g. for a mutated or mistranscribed bracket, raises
+    neither sign matches, e.g. for a mistranscribed bracket, raises
     IdentityViolation with the residual P^2 - Q^2.
     """
     p = neg_nH_S3(sig)
-    q = (bracket or bracket_cubic(sig)).assemble()
+    q = bracket_cubic(sig).assemble()
     if p == q:
         return 1
     if p == -q:

@@ -62,6 +62,8 @@ def cmc_rhs(
     """
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
     if r <= 1e-12:
         raise InvalidSphere(f"r = {r}")
     k = math.hypot(K, r)
@@ -100,7 +102,11 @@ class RotationalProfile:
     halted: str | None = None
 
     def to_csv(self, path: str) -> None:
-        """Write the rows as CSV, streamed as `ScanReport.to_csv` writes its own."""
+        """Write the rows as CSV, streamed as `ScanReport.to_csv` writes its own.
+
+        `K_check` = sqrt(k^2 - r^2) is recomputed from the stored k and r, so it
+        shows K only as far as k = hypot(K, r) keeps K's digits: once K/r nears
+        1e-8, k lies one ulp from r and the column shows that rounding."""
 
         def lines():
             yield "t,r,r1,k,k1,K_check\r\n"
@@ -165,8 +171,10 @@ def integrate_profile(
             f"step {step} is below the float resolution of t near {far}: t += step rounds"
             f" by up to {math.ulp(far) / 2}, more than {T_ROUNDING} of the step"
         )
-    if K <= 0:  # cmc_rhs's own check, made before a halt at R_MIN could skip it
+    if K <= 0:  # cmc_rhs's own checks, made before a halt at R_MIN could skip them
         raise ValueError(f"K must be positive, got {K}")
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
 
     def rhs(y: tuple[float, float]) -> tuple[float, float]:
         return y[1], cmc_rhs(y[0], y[1], K, H, n, sig)

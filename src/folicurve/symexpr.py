@@ -367,6 +367,9 @@ class SymExpr:
                 lines.append(f"    {name} = {expr}")
             return name
 
+        # each product prefix of two or more factors -> the factors that follow it
+        # in the terms that start with it, () where a term ends
+        branches: dict[tuple, set] = {}
         products = []
         for exps, coeff in self.terms():
             factors = []
@@ -379,32 +382,26 @@ class SymExpr:
                     factors.append(local(f"{names[ind]}_{suffix}", f"{names[ind]} ** {e}"))
             if factors:
                 factors[0] = local(f"f_{factors[0]}", f"1.0 * {factors[0]}")
-            products.append((tuple(factors), float(coeff)))
+            factors = tuple(factors)
+            for end in range(2, len(factors) + 1):
+                branches.setdefault(factors[:end], set()).add(factors[end:end + 1])
+            products.append((factors, float(coeff)))
 
-        def longest(factors: tuple, prefixes) -> int:
-            """Length of the longest prefix of two or more factors in `prefixes`, else 1."""
-            end = len(factors)
-            while end > 1 and factors[:end] not in prefixes:
-                end -= 1
-            return end
-
-        # a term reuses the longest product prefix an earlier term computed
-        seen: set[tuple] = set()
-        reused: set[tuple] = set()
-        for factors, _ in products:
-            reused.add(factors[:longest(factors, seen)])
-            seen.update(factors[:end] for end in range(2, len(factors) + 1))
+        # a prefix that two terms continue differently is named by the first term
+        # that reaches it, and a later term starts from the longest named prefix
         named: dict[tuple, str] = {}
         summands = ["0.0"]
         for factors, coeff in products:
             if not factors:
                 summands.append(f"+ {coeff!r}")
                 continue
-            start = longest(factors, named)
+            start = len(factors)
+            while start > 1 and factors[:start] not in named:
+                start -= 1
             expr = named.get(factors[:start], factors[0])
             for end in range(start + 1, len(factors) + 1):
                 expr = f"{expr} * {factors[end - 1]}"
-                if factors[:end] in reused:
+                if len(branches[factors[:end]]) > 1:
                     named[factors[:end]] = f"p{len(named)}"
                     expr = f"({named[factors[:end]]} := {expr})"
             if coeff == 1.0:

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -41,6 +42,19 @@ def no_run(monkeypatch):
         monkeypatch.setattr(module, name, started)
 
 
+BRACKET_CUBIC = identity.bracket_cubic  # the proved cubic, whatever a test patches in
+
+
+def mutated_bracket(sig, which):
+    """The bracket cubic with coefficient `which` (c1, c2 or c3) minus KAP*RHO^2."""
+    cubic = BRACKET_CUBIC(sig)
+    return dataclasses.replace(cubic, **{which: getattr(cubic, which) - KAP * RHO ** 2})
+
+
+def _perturbed_bracket(monkeypatch, which):
+    monkeypatch.setattr(identity, "bracket_cubic", lambda sig: mutated_bracket(sig, which))
+
+
 def _perturbed_s_squared(monkeypatch):
     unreduced = identity.s_squared_unreduced
     monkeypatch.setattr(identity, "s_squared_unreduced",
@@ -61,12 +75,18 @@ class TestVerify:
         assert json.loads(out)[0]["signature"] == "lorentzian"
 
     @pytest.mark.parametrize("which", ["c1", "c2", "c3"])
-    def test_mutation_hook_fails(self, which, capsys):
-        code, out, _ = run(["verify", "--signature", "riemannian", "--mutate", which], capsys)
+    def test_mutation_hook_fails(self, which, monkeypatch, capsys):
+        _perturbed_bracket(monkeypatch, which)
+        code, out, _ = run(["verify", "--signature", "riemannian"], capsys)
         assert code == 1
         report = json.loads(out)[0]
         assert report["pass"] is False
         assert report["residual_text"] != "0"
+
+    def test_mutate_is_no_option(self, capsys):
+        # a fault is injected by patching identity.bracket_cubic, as above
+        assert run(["verify", "--mutate", "c1"], capsys) == (
+            2, "", "unknown option '--mutate' for verify\n")
 
     def test_report_json_contract(self, capsys):
         code, out, _ = run(["verify", "--signature", "riemannian"], capsys)
@@ -99,8 +119,7 @@ class TestVerify:
 
 
 def _perturbed_c2(monkeypatch):
-    mutated = {sig: identity.mutated_bracket(sig, "c2") for sig in identity.GeometrySignature}
-    monkeypatch.setattr(identity, "bracket_cubic", mutated.__getitem__)
+    _perturbed_bracket(monkeypatch, "c2")
 
 
 class TestIdentityViolationExitsOne:
@@ -690,7 +709,7 @@ class TestConfig:
         [
             (["verify"], {"signature": "foo"}),
             (["scan", "--r", "1", "--n", "3", "--t", "0:1"], {"k": 5}),
-            (["verify"], {"mutate": "c4"}),
+            (["verify"], {"mutate": "c1"}),
             (["verify"], [1, 2]),
             (["generate", "--n", "3", "--K", "1", "--t", "0:0.01"], {"sign_branch": True}),
             (["verify"], {"config": "other.json"}),
@@ -704,7 +723,7 @@ class TestConfig:
             (["generate", "--n", "3", "--K", "1", "--t", "0:0.01"], {"sign_branch": 1}),
             (["generate", "--n", "3", "--K", "1", "--t", "0:0.01"], {"out_csv": ""}),
         ],
-        ids=["verify-signature", "scan-k-number", "verify-mutate-c4", "json-list",
+        ids=["verify-signature", "scan-k-number", "key-mutate", "json-list",
              "generate-sign-branch-bool", "key-config", "key-func", "key-command",
              "scan-n-float", "scan-n-bool", "scan-samples-null", "generate-K-inf",
              "generate-validate-string", "generate-sign-branch", "generate-out-csv-empty"],
@@ -714,8 +733,9 @@ class TestConfig:
         assert code == 2
         assert out == ""
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
-        if isinstance(payload, dict) and set(payload) <= {"config", "func", "command"}:
-            assert "unknown config key" in err
+        if isinstance(payload, dict) and set(payload) <= {"config", "func", "command", "mutate"}:
+            [key] = payload
+            assert err == f"config error: unknown config key {key!r}\n"
 
     @pytest.mark.parametrize(
         "argv, payload, key, expected",
@@ -765,12 +785,10 @@ UNSET = object()  # the option is neither a flag nor in the config file
 # recursion limit and requests the row cap must refuse.
 # Good t-ranges include one that starts with "-", and the good k and r
 # include a pair whose kernels overflow to NaN.  Spans and grids stay small so
-# that every accepted run is quick; a valid --mutate (exit 1 by design) and file
-# outputs are left out.
+# that every accepted run is quick; file outputs are left out.
 FUZZ_POOLS = {
     "verify": {
         "signature": (["riemannian", "lorentzian", "both", UNSET], ["foo", 1, True, None, "-h"]),
-        "mutate": ([UNSET], ["c4", "", 3, True, ["c1"]]),
     },
     "scan": {
         "k": (["cosh(1)", "2+0.1*t", "2", "10^100*(1+t)"],
@@ -944,15 +962,26 @@ class TestModuleEntry:
         assert json.loads(result.stdout)["K"] == pytest.approx(4.0)
 
 
+# `verify` in a child whose bracket coefficient c1 loses KAP*RHO^2, as `mutated_bracket` does
+MUTATED_VERIFY = (
+    "import dataclasses, sys; from folicurve import cli, identity; "
+    "from folicurve.symexpr import KAP, RHO; cubic = identity.bracket_cubic; "
+    "identity.bracket_cubic = lambda sig: dataclasses.replace("
+    "cubic(sig), c1=cubic(sig).c1 - KAP * RHO ** 2); "
+    "sys.exit(cli.main(['verify']))"
+)
+
+
 class TestClosedStdout:
+    # argv follows `python -X dev`
     @pytest.mark.parametrize(
         "argv, code",
         [
-            (["verify"], 0),
-            (["verify", "--mutate", "c1"], 1),
-            (["scan", "--signature", "lorentzian", "--k", "cosh(1)", "--r", "sinh(1)",
-              "--n", "3", "--t", "0:1", "--samples", "3"], 3),
-            (["--help"], 0),
+            (["-m", "folicurve", "verify"], 0),
+            (["-c", MUTATED_VERIFY], 1),
+            (["-m", "folicurve", "scan", "--signature", "lorentzian", "--k", "cosh(1)",
+              "--r", "sinh(1)", "--n", "3", "--t", "0:1", "--samples", "3"], 3),
+            (["-m", "folicurve", "--help"], 0),
         ],
     )
     def test_exit_code_stands(self, argv, code):
@@ -963,7 +992,7 @@ class TestClosedStdout:
         os.close(read_end)
         try:
             result = subprocess.run(
-                [sys.executable, "-X", "dev", "-m", "folicurve", *argv],
+                [sys.executable, "-X", "dev", *argv],
                 stdout=write_end,
                 stderr=subprocess.PIPE,
                 text=True,

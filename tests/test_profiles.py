@@ -100,6 +100,11 @@ class TestCmcRhs:
     def test_minimal_worked_example(self):
         assert cmc_rhs(1.0, 0.0, 1.0, 0.0, 3, RIEMANNIAN) == pytest.approx(4.0, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_rejects_a_dimension_below_two(self, n):
+        with pytest.raises(ValueError, match=rf"^dimension must be at least 2, got {n}$"):
+            cmc_rhs(1.0, 0.0, 1.0, 0.5, n, RIEMANNIAN)
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("K", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.7])
@@ -260,6 +265,9 @@ class TestIntegration:
             integrate_profile(1.0, 0.0, (0.0, 0.5), 0.5, 1.0, 0.0, 3, RIEMANNIAN)
         with pytest.raises(ValueError):
             integrate_profile(1.0, 0.0, (0.3, 0.3), 1e-3, 1.0, 0.0, 3, RIEMANNIAN)
+        for n in (1, 0, -3):  # before the first row, not later through validate_profile
+            with pytest.raises(ValueError, match=rf"^dimension must be at least 2, got {n}$"):
+                integrate_profile(1.0, 0.0, (0.0, 0.01), 1e-3, 1.0, 0.5, n, RIEMANNIAN)
 
     @pytest.mark.parametrize("t_range", [(1e13, 1e13 + 0.1), (-1e13 - 0.1, -1e13)])
     def test_rejects_a_step_below_the_resolution_of_t(self, t_range):
