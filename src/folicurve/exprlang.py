@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class ParseError(ValueError):
@@ -54,47 +54,39 @@ class DomainError(ArithmeticError):
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-class Expr:
-    __slots__ = ()
-
-
-@dataclass(frozen=True)
-class Num(Expr):
+class Num(NamedTuple):
     value: Fraction
 
 
-@dataclass(frozen=True)
-class TVar(Expr):
+class TVar(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class Const(Expr):
+class Const(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
+class Neg(NamedTuple):
     arg: Expr
 
 
-@dataclass(frozen=True)
-class BinOp(Expr):
+class BinOp(NamedTuple):
     op: str  # a key of _OPERATOR_TABLE
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Pow(Expr):
+class Pow(NamedTuple):
     base: Expr
     exponent: Fraction
 
 
-@dataclass(frozen=True)
-class Call(Expr):
+class Call(NamedTuple):
     fn: str
     arg: Expr
+
+
+Expr = Num | TVar | Const | Neg | BinOp | Pow | Call
 
 
 # -- tokenizer and parser ------------------------------------------------------
@@ -229,12 +221,19 @@ _ZERO = Num(Fraction(0))
 _ONE = Num(Fraction(1))
 
 
+def _is(e: Expr, value: int) -> bool:
+    """e is the number `value`.  Not `e == Num(value)`: a tuple compares its
+    first fields before its lengths, so another node would compare its own
+    first field with a Fraction."""
+    return isinstance(e, Num) and e.value == value
+
+
 def _add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value + b.value)
-    if a == _ZERO:
+    if _is(a, 0):
         return b
-    if b == _ZERO:
+    if _is(b, 0):
         return a
     return BinOp("+", a, b)
 
@@ -242,9 +241,9 @@ def _add(a: Expr, b: Expr) -> Expr:
 def _sub(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value - b.value)
-    if b == _ZERO:
+    if _is(b, 0):
         return a
-    if a == _ZERO:
+    if _is(a, 0):
         return _neg(b)
     return BinOp("-", a, b)
 
@@ -258,19 +257,19 @@ def _neg(a: Expr) -> Expr:
 def _mul(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num):
         return Num(a.value * b.value)
-    if a == _ZERO or b == _ZERO:
+    if _is(a, 0) or _is(b, 0):
         return _ZERO
-    if a == _ONE:
+    if _is(a, 1):
         return b
-    if b == _ONE:
+    if _is(b, 1):
         return a
     return BinOp("*", a, b)
 
 
 def _div(a: Expr, b: Expr) -> Expr:
-    if a == _ZERO:
+    if _is(a, 0):
         return _ZERO
-    if b == _ONE:
+    if _is(b, 1):
         return a
     if isinstance(a, Num) and isinstance(b, Num) and b.value != 0:
         return Num(a.value / b.value)
@@ -358,8 +357,8 @@ def compile_exprs(*exprs: Expr):
     literals computed here, once.
     A subtree that repeats, inside one tree or across trees, is computed at
     its first occurrence only: nodes are numbered by the text of their code
-    (plus an `id()` memo for shared node objects), never by the recursive
-    dataclass hash.
+    (plus an `id()` memo for shared node objects), never by hashing the
+    trees.
     """
     lines = ["def kernel(t):"]
     namespace = dict(_KERNEL_GLOBALS)
@@ -443,12 +442,17 @@ def _read(kernel, t: float) -> tuple:
         raise DomainError(f"{err} at t={t!r}") from err
 
 
-@dataclass(frozen=True)
 class ProfileFunctions:
-    """k(t) and r(t); the 2-jet kernel differentiates them exactly."""
+    """k(t) and r(t); the 2-jet kernel differentiates them exactly.
 
-    k: Expr
-    r: Expr
+    Assigning to k or r raises AttributeError.  Not a named tuple: each
+    kernel is built on first use and kept in the instance's `__dict__`."""
+
+    def __init__(self, k: Expr, r: Expr):
+        vars(self).update(k=k, r=r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def from_strings(cls, k_text: str, r_text: str) -> "ProfileFunctions":

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from operator import mul
 from typing import NamedTuple
@@ -56,22 +55,33 @@ class StepUnstable(ArithmeticError):
     doubling) exceeds its limit."""
 
 
-@dataclass(frozen=True)
-class FoliationJet:
-    """2-jet of the Euclidean center/radius profile at height t."""
+_set = object.__setattr__  # how a record with a raising __setattr__ sets its own fields
 
-    t: float
-    k: float
-    k1: float
-    k2: float
-    r: float
-    r1: float
-    r2: float
+
+class FoliationJet:
+    """2-jet of the Euclidean center/radius profile at height t.
+
+    Assigning to a field raises AttributeError.  A slotted class rather than
+    a named tuple: a scan reads its fields several times per point, and a
+    slot reads faster than a tuple field."""
+
+    __slots__ = ("t", "k", "k1", "k2", "r", "r1", "r2")
+
+    def __init__(self, t: float, k: float, k1: float, k2: float, r: float, r1: float, r2: float):
+        _set(self, "t", t)
+        _set(self, "k", k)
+        _set(self, "k1", k1)
+        _set(self, "k2", k2)
+        _set(self, "r", r)
+        _set(self, "r1", r1)
+        _set(self, "r2", r2)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @classmethod
     def from_profile(cls, profile, t: float) -> "FoliationJet":
-        k, k1, k2, r, r1, r2 = profile.jet_values(t)
-        return cls(t=t, k=k, k1=k1, k2=k2, r=r, r1=r1, r2=r2)
+        return cls(t, *profile.jet_values(t))
 
     def require_valid(self) -> None:
         require_sphere(self.t, self.k, self.r)
@@ -156,6 +166,8 @@ def mean_curvature_at(
 
     The kernels overflow by multiplication, which raises nothing, so a
     non-finite S^2 or H raises OverflowError here."""
+    if n < 2:
+        raise ValueError(f"dimension must be at least 2, got {n}")
     k, r = jet.k, jet.r
     _require_on_leaf(p, k, r)
     # dense bindings in Indeterminate order: X, KAP, KAP1, KAP2, RHO, RHO1, RHO2, SIG, NU
@@ -349,8 +361,7 @@ class ScanRow(NamedTuple):
     spacelike: bool | None
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     signature: str
     n: int
     t_start: float
@@ -361,10 +372,12 @@ class ScanReport:
     max_dev: float | None
     max_dKdt: float
     spacelike_fraction: float | None
-    rows: list[ScanRow] = field(repr=False)
+    rows: list[ScanRow]
 
     def summary(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        summary = self._asdict()
+        del summary["rows"]
+        return summary
 
     def to_json(self) -> str:
         payload = self.summary()

@@ -25,8 +25,8 @@ the ring's generators.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .symexpr import (
     KAP,
@@ -124,8 +124,7 @@ def half_dt_f() -> SymExpr:
     return (SIG + (X - KAP) ** 2 - RHO ** 2).d_dt() / 2
 
 
-@dataclass(frozen=True)
-class CubicCoefficients:
+class CubicCoefficients(NamedTuple):
     """X^3, X^2, X coefficients of the bracket cubic equal to -nH*S^3."""
 
     c3: SymExpr

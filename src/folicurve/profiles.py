@@ -19,8 +19,8 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import asdict, dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .geometry import (
     T_ROUNDING,
@@ -81,8 +81,7 @@ def cmc_rhs(
     return r_times_r2(k, k1, k2, r1) / r
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     t: float
     r: float
     r1: float
@@ -90,15 +89,14 @@ class ProfileRow:
     k1: float
 
 
-@dataclass(frozen=True)
-class RotationalProfile:
+class RotationalProfile(NamedTuple):
     """Sampled rotational profile with constant hyperbolic center K."""
 
     K: float
     H_target: float
     n: int
     sig: GeometrySignature
-    rows: list[ProfileRow] = field(repr=False)
+    rows: list[ProfileRow]
     halted: str | None = None
 
     def to_csv(self, path: str) -> None:
@@ -125,7 +123,7 @@ class RotationalProfile:
                 "n": self.n,
                 "signature": self.sig.label,
                 "halted": self.halted,
-                "rows": [asdict(row) for row in self.rows],
+                "rows": [row._asdict() for row in self.rows],
             }
         )
 

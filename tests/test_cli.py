@@ -2,7 +2,6 @@
 
 import contextlib
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -48,7 +47,7 @@ BRACKET_CUBIC = identity.bracket_cubic  # the proved cubic, whatever a test patc
 def mutated_bracket(sig, which):
     """The bracket cubic with coefficient `which` (c1, c2 or c3) minus KAP*RHO^2."""
     cubic = BRACKET_CUBIC(sig)
-    return dataclasses.replace(cubic, **{which: getattr(cubic, which) - KAP * RHO ** 2})
+    return cubic._replace(**{which: getattr(cubic, which) - KAP * RHO ** 2})
 
 
 def _perturbed_bracket(monkeypatch, which):
@@ -964,10 +963,10 @@ class TestModuleEntry:
 
 # `verify` in a child whose bracket coefficient c1 loses KAP*RHO^2, as `mutated_bracket` does
 MUTATED_VERIFY = (
-    "import dataclasses, sys; from folicurve import cli, identity; "
+    "import sys; from folicurve import cli, identity; "
     "from folicurve.symexpr import KAP, RHO; cubic = identity.bracket_cubic; "
-    "identity.bracket_cubic = lambda sig: dataclasses.replace("
-    "cubic(sig), c1=cubic(sig).c1 - KAP * RHO ** 2); "
+    "identity.bracket_cubic = lambda sig: cubic(sig)._replace("
+    "c1=cubic(sig).c1 - KAP * RHO ** 2); "
     "sys.exit(cli.main(['verify']))"
 )
 

@@ -222,6 +222,15 @@ class TestProfileFunctions:
         prof = ProfileFunctions.from_strings("cosh(1)", "sinh(1)")
         assert prof.jet_values(3.0)[1:3] == (0.0, 0.0)
 
+    def test_copy_builds_its_own_kernels(self):
+        # the documented copy is a new ProfileFunctions: no kernel of the old one carries over
+        prof = ProfileFunctions.from_strings("2*t", "1")
+        assert prof.jet_values(1.0) == (2.0, 2.0, 0.0, 1.0, 0.0, 0.0)
+        copy = ProfileFunctions(k=parse("3*t"), r=prof.r)
+        assert copy.jet_values(1.0) == (3.0, 3.0, 0.0, 1.0, 0.0, 0.0)
+        assert (copy.k_value(2.0), copy.r is prof.r) == (6.0, True)
+        assert prof.jet_values(1.0)[0] == 2.0
+
     def test_jet_domain_error_names_its_t(self):
         # k is defined at t = 0, but k' = (1/3) t^(-2/3) is not
         prof = ProfileFunctions.from_strings("2+t^(1/3)", "1")

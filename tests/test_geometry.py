@@ -4,13 +4,15 @@ import csv
 import decimal
 import math
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 import hypothesis.strategies as st
 
 from folicurve import geometry
-from folicurve.exprlang import DomainError, ProfileFunctions, compile_exprs, differentiate, parse
+from folicurve.exprlang import (BinOp, Call, Const, DomainError, Neg, Num, Pow, ProfileFunctions,
+                                TVar, compile_exprs, differentiate, parse)
 from folicurve.geometry import (
     DEGENERACY_TOL,
     DegenerateNormal,
@@ -31,9 +33,10 @@ from folicurve.geometry import (
     mean_curvature_at,
     mean_curvature_fd,
 )
-from folicurve.identity import LORENTZIAN, RIEMANNIAN, neg_nH_S3, s_squared_reduced
-from folicurve.profiles import cmc_rhs
-from folicurve.symexpr import Indeterminate
+from folicurve.identity import (LORENTZIAN, RIEMANNIAN, CubicCoefficients, neg_nH_S3,
+                                s_squared_reduced)
+from folicurve.profiles import ProfileRow, RotationalProfile, cmc_rhs
+from folicurve.symexpr import KAP, RHO, X, Indeterminate
 
 
 def cylinder_profile(R: float = 1.0, K: float = 1.0) -> ProfileFunctions:
@@ -511,6 +514,16 @@ class TestFiniteDifferenceOracle:
             mean_curvature_fd(point, profile, n, RIEMANNIAN)
 
     @pytest.mark.parametrize("sig", [RIEMANNIAN, LORENTZIAN])
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_symbolic_H_rejects_low_dimension_first(self, n, sig):
+        # n = 1 gave -0.0 and n = 0 a bare ZeroDivisionError; the check comes
+        # before the leaf check, so a point off the leaf fails on n too
+        jet = FoliationJet(t=0.0, k=2.0, k1=0.0, k2=0.0, r=1.0, r1=0.0, r2=0.0)
+        for point in (point_at(jet, 2.5), SurfacePoint(x1=5.0, xn=2.5, t=0.0)):
+            with pytest.raises(ValueError, match=f"^dimension must be at least 2, got {n}$"):
+                mean_curvature_at(point, jet, n, sig)
+
+    @pytest.mark.parametrize("sig", [RIEMANNIAN, LORENTZIAN])
     def test_rejects_point_off_leaf(self, sig):
         profile = cylinder_profile()
         jet = FoliationJet.from_profile(profile, 0.0)
@@ -656,6 +669,12 @@ class TestConstancyScan:
         report = constancy_scan(cylinder_profile(), (0.0, 0.5), 3, RIEMANNIAN, 4)
         payload = json.loads(report.to_json())
         assert payload["leaves"] == 4 and len(payload["rows"]) == 32
+        # the field order of ScanReport, rows last, and of ScanRow within a row
+        summary_keys = ["signature", "n", "t_start", "t_end", "leaves", "points_per_leaf",
+                        "mean_H", "max_dev", "max_dKdt", "spacelike_fraction"]
+        assert list(report.summary()) == summary_keys
+        assert list(payload) == summary_keys + ["rows"]
+        assert list(payload["rows"][0]) == ["t", "x_n", "H", "dKdt", "spacelike"]
         path = tmp_path / "scan.csv"
         report.to_csv(str(path))
         with open(path) as handle:
@@ -725,3 +744,51 @@ class TestScanCsv:
             tracemalloc.stop()
         size = path.stat().st_size
         assert size > 1_000_000 and peak < size / 10
+
+
+# every record of the package, with one value per field in field order
+RECORDS = [pytest.param(cls, fields, id=cls.__name__) for cls, fields in [
+    (FoliationJet, dict(t=0.5, k=3.0, k1=0.1, k2=0.2, r=1.0, r1=0.3, r2=0.4)),
+    (SurfacePoint, dict(x1=0.6, xn=2.2, t=0.5)),
+    (ScanRow, dict(t=0.5, x_n=2.2, H=-1.3, dKdt=0.0, spacelike=None)),
+    (ScanReport, dict(signature="riemannian", n=3, t_start=0.0, t_end=1.0, leaves=1,
+                      points_per_leaf=8, mean_H=None, max_dev=None, max_dKdt=0.0,
+                      spacelike_fraction=None, rows=[])),
+    (ProfileRow, dict(t=0.0, r=1.0, r1=0.0, k=1.5, k1=0.0)),
+    (RotationalProfile, dict(K=1.0, H_target=0.0, n=3, sig=RIEMANNIAN, rows=[], halted="why")),
+    (CubicCoefficients, dict(c3=X, c2=KAP, c1=RHO)),
+    (ProfileFunctions, dict(k=parse("2"), r=parse("t"))),
+    (Num, dict(value=Fraction(1, 2))),
+    (TVar, dict()),
+    (Const, dict(name="pi")),
+    (Neg, dict(arg=TVar())),
+    (BinOp, dict(op="+", left=TVar(), right=Num(Fraction(1)))),
+    (Pow, dict(base=TVar(), exponent=Fraction(2))),
+    (Call, dict(fn="exp", arg=TVar())),
+]]
+NAMED_TUPLES = [case for case in RECORDS if issubclass(case.values[0], tuple)]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("cls, fields", RECORDS)
+    def test_keyword_construction_in_field_order(self, cls, fields):
+        for record in (cls(**fields), cls(*fields.values())):
+            assert [getattr(record, name) for name in fields] == list(fields.values())
+
+    @pytest.mark.parametrize("cls, fields", RECORDS)
+    def test_fields_cannot_be_assigned(self, cls, fields):
+        record = cls(**fields)
+        for name in [*fields, "extra"]:
+            with pytest.raises(AttributeError):
+                setattr(record, name, 1.0)
+        assert [getattr(record, name) for name in fields] == list(fields.values())
+
+    @pytest.mark.parametrize("cls, fields", NAMED_TUPLES)
+    def test_replace_changes_one_field(self, cls, fields):
+        record = cls(**fields)
+        for name in fields:
+            changed = record._replace(**{name: "new"})
+            assert getattr(changed, name) == "new" and type(changed) is cls
+            assert changed == tuple("new" if key == name else value
+                                    for key, value in fields.items())
+        assert record == tuple(fields.values())  # a named tuple equals the plain tuple

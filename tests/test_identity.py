@@ -1,10 +1,11 @@
 """Divergence pipeline vs the closed-form cubic, both signatures."""
 
 import ast
-import dataclasses
 import hashlib
 import json
 import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -184,7 +185,7 @@ class TestExactBoundary:
                     for alias in node.names}
         imported |= {"." * node.level + (node.module or "") for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom)}
-        assert imported - {"__future__"} == {"enum", "dataclasses", "functools", ".symexpr"}
+        assert imported - {"__future__"} == {"enum", "functools", "typing", ".symexpr"}
         errors = [value for value in vars(identity).values()
                   if isinstance(value, type) and issubclass(value, BaseException)
                   and value.__module__ == identity.__name__]
@@ -213,6 +214,32 @@ class TestExactBoundary:
                 if name == "terms" or builds:
                     found.append(f"{path.name}:{node.lineno}")
         assert found == []
+
+
+# each loads ast, dis and tokenize; with its class decorations, dataclasses was a
+# third of the time `import folicurve.cli` took
+HEAVY_MODULES = {"dataclasses", "inspect"}
+
+
+class TestLeanImport:
+    def test_no_module_imports_dataclasses_or_inspect(self):
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                found += [f"{path.name}:{node.lineno} {name}" for name in names
+                          if name.split(".")[0] in HEAVY_MODULES]
+        assert found == []
+
+    def test_cli_import_loads_no_heavy_module(self):
+        # -I -S: no site hook and no environment loads a module on the package's
+        # behalf; -B: no bytecode left in the checkout, as -I ignores PYTHONDONTWRITEBYTECODE
+        script = (f"import sys; sys.path.insert(0, {str(SRC.parent)!r}); import folicurve.cli; "
+                  f"print(sorted({HEAVY_MODULES | {'ast'}!r} & sys.modules.keys()))")
+        result = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", script],
+                                capture_output=True, text=True, check=True)
+        assert result.stdout == "[]\n"
 
 
 def _violation_sites() -> tuple[int, list[str], set[str]]:
@@ -351,7 +378,7 @@ class TestNoDeadCode:
 def mutated_bracket(sig, which):
     """The bracket cubic with coefficient `which` (c1, c2 or c3) minus KAP*RHO^2."""
     cubic = bracket_cubic(sig)
-    return dataclasses.replace(cubic, **{which: getattr(cubic, which) - KAP * RHO ** 2})
+    return cubic._replace(**{which: getattr(cubic, which) - KAP * RHO ** 2})
 
 
 def verify_with_bracket(sig, bracket):
@@ -434,7 +461,7 @@ class TestVerification:
         for gen, e in exps.items():
             monomial = monomial * gen ** e
         cubic = bracket_cubic(sig)
-        mutated = dataclasses.replace(cubic, **{which: getattr(cubic, which) + monomial})
+        mutated = cubic._replace(**{which: getattr(cubic, which) + monomial})
         with pytest.raises(IdentityViolation) as info:
             verify_with_bracket(sig, mutated)
         p, q = neg_nH_S3(sig), mutated.assemble()

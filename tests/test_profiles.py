@@ -1,7 +1,6 @@
 """Rotational CMC generation: derived ODE, RK4 integration, closed-loop checks."""
 
 import csv
-import dataclasses
 import json
 import math
 
@@ -74,7 +73,7 @@ class TestRotationalConstraintLemma:
     def test_failed_lemma_is_identity_violation(self, sig, monkeypatch):
         def broken(sig):
             cubic = bracket_cubic(sig)
-            return dataclasses.replace(cubic, c2=cubic.c2 + KAP * RHO ** 2)
+            return cubic._replace(c2=cubic.c2 + KAP * RHO ** 2)
 
         monkeypatch.setattr(identity, "bracket_cubic", broken)
         rotational_ode_form.cache_clear()
@@ -383,14 +382,14 @@ class TestValidation:
     def test_perturbed_row_fails(self):
         profile = catenoid()
         rows = list(profile.rows)
-        rows[250] = dataclasses.replace(rows[250], r=rows[250].r + 1e-3)
+        rows[250] = rows[250]._replace(r=rows[250].r + 1e-3)
         with pytest.raises(ValidationFailed):
-            validate_profile(dataclasses.replace(profile, rows=rows), samples=40)
+            validate_profile(profile._replace(rows=rows), samples=40)
 
     def test_too_few_rows(self):
         profile = cylinder()
         with pytest.raises(ValidationFailed):
-            validate_profile(dataclasses.replace(profile, rows=profile.rows[:1]))
+            validate_profile(profile._replace(rows=profile.rows[:1]))
 
     def test_validation_scan_matches_direct_scan(self):
         profile = catenoid(t_end=0.2)
@@ -447,7 +446,9 @@ class TestExports:
 
     def test_json_payload(self):
         payload = json.loads(catenoid(t_end=0.05).to_json())
+        assert list(payload) == ["K", "H_target", "n", "signature", "halted", "rows"]
         assert payload["signature"] == "riemannian"
         assert payload["halted"] is None
         assert payload["rows"][0] == {"t": 0.0, "r": 1.0, "r1": 0.0,
                                       "k": math.sqrt(2.0), "k1": 0.0}
+        assert list(payload["rows"][0]) == ["t", "r", "r1", "k", "k1"]
